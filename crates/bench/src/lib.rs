@@ -16,5 +16,5 @@
 //!
 //! Each experiment bench prints the reproduced table/series once before
 //! timing it, so `cargo bench` output doubles as a reproduction log
-//! (quick-scale; run the `exp-*` binaries with `--paper` for the full-size
-//! numbers recorded in EXPERIMENTS.md).
+//! (quick-scale; the `exp-*` binaries print the full-size tables when run
+//! with `--paper`).

@@ -71,9 +71,10 @@ pub struct ServeConfig {
     /// Engine heartbeat: how long the engine waits for traffic before
     /// running an idle tick (advancing the eviction clock).
     pub idle_tick: Duration,
-    /// Batched lockstep ticks (see [`StreamConfig::lockstep`]): same-epoch
-    /// sessions with equal pending depth advance through a shared
-    /// structure-of-arrays panel, bit-identical to the per-session path.
+    /// Batched lockstep ticks (see [`StreamConfig::lockstep`]): every
+    /// session with pending tokens advances through one shared
+    /// structure-of-arrays panel that shrinks as shallower queues run dry,
+    /// bit-identical to the per-session path.
     /// On by default; disable only to A/B the scalar path.
     pub lockstep: bool,
     /// Metrics sink, forwarded to the session pool and used for the

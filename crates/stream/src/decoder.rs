@@ -59,7 +59,7 @@ use dhmm_hmm::scaled::{
 };
 use dhmm_hmm::sparse::{beam_prune, SparseParams};
 use dhmm_hmm::InferenceBackend;
-use dhmm_linalg::CsrMatrix;
+use dhmm_linalg::{CsrMatrix, Matrix};
 use dhmm_runtime::Parallelism;
 use dhmm_telemetry::{Counter, Histogram, TelemetrySink};
 
@@ -177,13 +177,15 @@ pub struct StreamConfig {
     /// consumer has let this many committed labels accumulate without
     /// `take_committed`, further pushes fail with [`StreamError::Lagging`].
     pub committed_cap: Option<usize>,
-    /// Batched lockstep decoding in [`crate::SessionPool::tick`]: groups of
-    /// ≥ 2 same-epoch sessions with equal pending depth advance one token
-    /// per step through a shared structure-of-arrays panel (one fused
-    /// filter + Viterbi pass over the transition matrix instead of S
-    /// separate k² loops). Output is bit-identical to the
-    /// per-session path; disable only to A/B the scalar path (ignored by a
-    /// standalone decoder, which is single-session by construction).
+    /// Batched lockstep decoding in [`crate::SessionPool::tick`]: every
+    /// session with pending tokens advances one token per step through a
+    /// shared structure-of-arrays panel (one fused filter + Viterbi pass
+    /// over the transition matrix instead of S separate k² loops), the
+    /// panel shrinking to the sessions still holding tokens; once one
+    /// session remains it finishes on the scalar step. Output is
+    /// bit-identical to the per-session path; disable only to A/B the
+    /// scalar path (ignored by a standalone decoder, which is
+    /// single-session by construction).
     pub lockstep: bool,
     /// Metrics sink. [`TelemetrySink::Disabled`] (the default) compiles the
     /// record path to no-ops — no clock reads, no atomics; with a registry
@@ -653,6 +655,11 @@ pub(crate) fn lockstep_stage<E: Emission>(
 /// * `cur_t[j][s]  = (max_i δ_i(t-1)[s] · a[(i, j)]) · e_j(t)[s]`, with the
 ///   argmax in `psi_t`.
 ///
+/// `at` is the epoch's transition matrix pre-transposed
+/// (`at[(j, i)] = a[(i, j)]`, so the predecessors of state `j` are one
+/// contiguous row): the scratch's cached `Aᵀ`, which the scalar Viterbi step
+/// reads too.
+///
 /// Fusing matters because both recursions stream the same `k × k`
 /// transition row per output state: one broadcast of `a[(i, j)]` feeds the
 /// filter's multiply-add and the Viterbi's multiply-max, halving loop
@@ -682,14 +689,14 @@ pub(crate) fn lockstep_stage<E: Emission>(
 /// Sessions at `t = 0` get garbage Viterbi columns here too, overwritten by
 /// the finish pass before anything reads them (`ψ(0)` is never read — the
 /// scalar path never writes it either).
-pub(crate) fn lockstep_kernel(panel: &mut BatchPanel) {
+pub(crate) fn lockstep_kernel(panel: &mut BatchPanel, at: &Matrix) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by runtime detection; the function only requires
         // the AVX2 feature it declares.
-        return unsafe { lockstep_kernel_avx2(panel) };
+        return unsafe { lockstep_kernel_avx2(panel, at) };
     }
-    lockstep_kernel_impl(panel);
+    lockstep_kernel_impl(panel, at);
 }
 
 /// AVX2 instantiation of [`lockstep_kernel_impl`]. The body is identical —
@@ -701,12 +708,12 @@ pub(crate) fn lockstep_kernel(panel: &mut BatchPanel) {
 /// scalar path's separate mul + add roundings.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lockstep_kernel_avx2(panel: &mut BatchPanel) {
-    lockstep_kernel_impl(panel);
+unsafe fn lockstep_kernel_avx2(panel: &mut BatchPanel, at: &Matrix) {
+    lockstep_kernel_impl(panel, at);
 }
 
 #[inline(always)]
-fn lockstep_kernel_impl(panel: &mut BatchPanel) {
+fn lockstep_kernel_impl(panel: &mut BatchPanel, at: &Matrix) {
     let k = panel.k;
     let kl = k * LANES;
     let tiles = panel.width / LANES;
@@ -722,7 +729,7 @@ fn lockstep_kernel_impl(panel: &mut BatchPanel) {
             for ((a8, p8), &a_ij) in alpha
                 .chunks_exact(LANES)
                 .zip(prev.chunks_exact(LANES))
-                .zip(panel.at.row(j))
+                .zip(at.row(j))
             {
                 for l in 0..LANES {
                     acc[l] += a8[l] * a_ij;
@@ -1794,7 +1801,7 @@ mod tests {
         if let InferenceBackend::Sparse(p) = backend {
             scratch.trans.prepare_sparse(m.transition(), 0, p);
         } else {
-            panel.load_transition(m.transition());
+            scratch.trans.prepare_dense(m.transition(), 0);
         }
 
         let mut block_steps = 0usize;
@@ -1805,7 +1812,7 @@ mod tests {
             if sparse {
                 lockstep_kernel_sparse(&mut panel, scratch.trans.csr.transposed());
             } else {
-                lockstep_kernel(&mut panel);
+                lockstep_kernel(&mut panel, &scratch.trans.at);
             }
             let mut due = 0usize;
             for (s, ws) in wss.iter_mut().enumerate() {

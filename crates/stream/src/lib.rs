@@ -20,14 +20,14 @@
 //!   create/push/flush/close by [`SessionId`], with batch [`SessionPool::tick`]s
 //!   that advance pending tokens in deterministic per-session bands on the
 //!   shared `runtime::Executor` — throughput scales with cores while
-//!   results stay **bit-identical across worker policies**. Groups of
-//!   same-epoch sessions with equal pending depth additionally advance in
-//!   **batched lockstep** through a tile-major structure-of-arrays
-//!   [`BatchPanel`]: one fused kernel pass over the shared transition
-//!   matrix per step advances every session's filter and Viterbi rows
-//!   together, instead of S separate k² loops, with output bit-identical
-//!   to the per-session path (on by default; see
-//!   [`StreamConfig::with_lockstep`]).
+//!   results stay **bit-identical across worker policies**. With lockstep
+//!   on (the default; see [`StreamConfig::with_lockstep`]) a tick instead
+//!   advances every pending session in **batched lockstep** through one
+//!   tile-major structure-of-arrays [`BatchPanel`] that shrinks as
+//!   shallower queues run dry: one fused kernel pass over the shared
+//!   transition matrix per step advances every session's filter and
+//!   Viterbi rows together, instead of S separate k² loops, with output
+//!   bit-identical to the per-session path.
 //!
 //! With `lag ≥ T` the streamed output is exactly the offline decode: the
 //! Viterbi path equals `viterbi_scaled`'s and the filtered/smoothed

@@ -2,12 +2,14 @@
 //!
 //! A [`SessionPool`] owns many concurrent streaming sessions. Producers
 //! enqueue tokens per session ([`SessionPool::push`]); a batch
-//! [`SessionPool::tick`] then advances every session's pending tokens,
-//! fanning the *sessions* out over the runtime executor in deterministic
-//! contiguous bands (the token order *within* a session is always its queue
-//! order, and sessions share no state), so a tick is **bit-identical across
-//! worker policies** — `Serial`, `Threads(n)` and `Auto` produce the same
-//! labels, posteriors and log-likelihoods to the last bit, pinned by
+//! [`SessionPool::tick`] then advances every session's pending tokens —
+//! together through one shrinking lockstep panel (the default), or with
+//! lockstep off by fanning the *sessions* out over the runtime executor in
+//! deterministic contiguous bands. The token order *within* a session is
+//! always its queue order, and sessions share no state, so a tick is
+//! **bit-identical across worker policies and lockstep modes** — `Serial`,
+//! `Threads(n)` and `Auto` produce the same labels, posteriors and
+//! log-likelihoods to the last bit, pinned by
 //! `tests/session_determinism.rs`.
 //!
 //! # Epoch-versioned models
@@ -65,9 +67,9 @@ use std::sync::Arc;
 const PAR_MIN_SESSIONS: usize = 2;
 /// Minimum total pending tokens for an automatic parallel tick.
 const PAR_MIN_TOKENS: usize = 2_048;
-/// Minimum sessions at a shared pending depth for a lockstep group — a
-/// singleton would pay panel staging with no lanes to share the kernel's
-/// transition broadcasts across.
+/// Minimum sessions for a lockstep panel step — a lone session would pay
+/// panel staging with no lanes to share the kernel's transition broadcasts
+/// across, so it takes the scalar step instead.
 const LOCKSTEP_MIN_GROUP: usize = 2;
 
 /// Handle to one session in a [`SessionPool`].
@@ -185,30 +187,32 @@ fn rebind_slot<E: Emission>(
     slot.ws.reset();
 }
 
-/// Advances one lockstep group — sessions on the current epoch with equal
-/// pending depth — one token per step: a staging pass gathers every
-/// session's state into the shared panel, the fused kernel (dense, or the
-/// CSR walk under the sparse backend) advances every session's filter and
-/// Viterbi rows from a single pass over the shared transition matrix, and a
-/// per-session finish pass runs the emission/scale and the (inherently
-/// per-session) commit tail. Sessions need not be at the same stream time
-/// `t` — each step reads and writes only per-session rings.
+/// Advances one tick's **ragged lockstep group**: every session with pending
+/// tokens (all on the current epoch once the rebind pass has run), sorted by
+/// pending depth, deepest first. Step `d` advances the prefix of sessions
+/// whose depth exceeds `d` by one token, so the panel shrinks as shallow
+/// sessions run dry: a staging pass gathers every prefix session's state
+/// into the shared panel, the fused kernel (dense over the scratch's cached
+/// `Aᵀ`, or the CSR walk under the sparse backend) advances every session's
+/// filter and Viterbi rows from a single pass over the shared transition
+/// matrix, and a per-session finish pass runs the emission/scale and the
+/// (inherently per-session) commit tail. Sessions keep their lane for the
+/// whole tick and need not be at the same stream time `t` — each step reads
+/// and writes only per-session rings. Once fewer than
+/// [`LOCKSTEP_MIN_GROUP`] sessions remain, they finish their remaining
+/// tokens through the scalar step.
 ///
 /// Fixed-lag smoothing is handled per *step*, not per session: every
-/// session whose `2L` window boundary fired on this step (reported deferred
-/// by the finish pass) is **due-aligned** — its block has the exact same
-/// `2L`-step shape regardless of absolute `t` — so all due sessions run one
-/// batched panel pass over the shared transition matrix (dense GEMM step or
-/// shared CSR walk, [`lockstep_smooth_block`]) instead of S scalar backward
-/// passes. Lone due sessions (staggered creation, post-hot-swap phase
-/// offsets) take the scalar tail, bit-identically.
+/// session of the prefix whose `2L` window boundary fired on this step
+/// (reported deferred by the finish pass) is **due-aligned** — its block has
+/// the exact same `2L`-step shape regardless of absolute `t` — so all due
+/// sessions run one batched panel pass over the shared transition matrix
+/// (dense GEMM step or shared CSR walk, [`lockstep_smooth_block`]) instead
+/// of S scalar backward passes. Lone due sessions (staggered creation,
+/// post-hot-swap phase offsets) take the scalar tail, bit-identically.
 ///
-/// Every pass is serial, so lockstep adds no policy-dependence of its own:
-/// worker policies can only change which groups run on which worker, never
-/// the arithmetic inside a group.
-///
-/// Returns `(batched_rows, scalar_rows)` — smoothed rows emitted through
-/// the panel pass vs the per-session path, for the tick report.
+/// Every pass is serial, so lockstep adds no policy-dependence of its own.
+/// Records the token and smoothing-row split in `report`.
 #[allow(clippy::too_many_arguments)]
 fn lockstep_group<E: Emission>(
     model: &Arc<Hmm<E>>,
@@ -217,74 +221,97 @@ fn lockstep_group<E: Emission>(
     epoch: u64,
     clock: u64,
     group: &mut [&mut Slot<E>],
-    depth: usize,
     panel: &mut BatchPanel,
     smooth_panel: &mut SmoothPanel,
     scratch: &mut StreamScratch,
-) -> (usize, usize) {
+    report: &mut TickReport,
+) {
     let k = model.num_states();
-    panel.ensure(group.len(), k);
     let sparse = matches!(backend, InferenceBackend::Sparse(_));
+    // One transition layout per epoch, shared with the scalar step (no-op
+    // once warm): the dense kernel reads the cached `Aᵀ`, the sparse kernel
+    // the CSR transposed (predecessor-major) orientation.
     if let InferenceBackend::Sparse(params) = backend {
-        // The group shares one CSR compile per epoch (no-op once warm); the
-        // dense transpose panel is not loaded — the sparse kernel walks the
-        // CSR transposed (predecessor-major) orientation directly.
         scratch
             .trans
             .prepare_sparse(model.transition(), epoch, params);
     } else {
-        panel.load_transition(model.transition());
+        scratch.trans.prepare_dense(model.transition(), epoch);
     }
     for slot in group.iter_mut() {
         slot.last_active = clock;
     }
-    let mut batched_rows = 0usize;
-    let mut scalar_rows = 0usize;
     let mut due: Vec<usize> = Vec::with_capacity(group.len());
-    for d in 0..depth {
-        for (s, slot) in group.iter_mut().enumerate() {
+    let mut width = group.len();
+    let mut d = 0usize;
+    loop {
+        while width > 0 && group[width - 1].pending.len() <= d {
+            width -= 1;
+        }
+        if width < LOCKSTEP_MIN_GROUP {
+            break;
+        }
+        let prefix = &mut group[..width];
+        panel.ensure(width, k);
+        for (s, slot) in prefix.iter_mut().enumerate() {
             lockstep_stage(&slot.model, lag, &mut slot.ws, panel, s, &slot.pending[d]);
         }
         if sparse {
             lockstep_kernel_sparse(panel, scratch.trans.csr.transposed());
         } else {
-            lockstep_kernel(panel);
+            lockstep_kernel(panel, &scratch.trans.at);
         }
         due.clear();
-        for (s, slot) in group.iter_mut().enumerate() {
+        for (s, slot) in prefix.iter_mut().enumerate() {
             scratch.clear_outputs();
             let fin = lockstep_finish(&*slot.model, lag, backend, &mut slot.ws, scratch, panel, s);
             slot.out.extend_from_slice(&scratch.committed);
-            scalar_rows += fin.smoothed_rows;
+            report.smoothing_scalar_tokens += fin.smoothed_rows;
             if fin.block_due {
                 due.push(s);
             }
         }
-        if !due.is_empty() {
-            if due.len() >= LOCKSTEP_MIN_GROUP {
-                let mut block: Vec<&mut StreamWorkspace> = Vec::with_capacity(due.len());
-                let mut next = due.iter().copied().peekable();
-                for (s, slot) in group.iter_mut().enumerate() {
-                    if next.peek() == Some(&s) {
-                        block.push(&mut slot.ws);
-                        next.next();
-                    }
-                }
-                let csr = sparse.then(|| scratch.trans.csr.forward());
-                batched_rows += lockstep_smooth_block(model, lag, csr, &mut block, smooth_panel);
-            } else {
-                for &s in &due {
-                    let slot = &mut *group[s];
-                    scalar_rows +=
-                        lockstep_smooth_scalar(&*slot.model, lag, backend, &mut slot.ws, scratch);
+        if due.len() >= LOCKSTEP_MIN_GROUP {
+            let mut block: Vec<&mut StreamWorkspace> = Vec::with_capacity(due.len());
+            let mut next = due.iter().copied().peekable();
+            for (s, slot) in prefix.iter_mut().enumerate() {
+                if next.peek() == Some(&s) {
+                    block.push(&mut slot.ws);
+                    next.next();
                 }
             }
+            let csr = sparse.then(|| scratch.trans.csr.forward());
+            report.smoothing_batched_tokens +=
+                lockstep_smooth_block(model, lag, csr, &mut block, smooth_panel);
+        } else {
+            for &s in &due {
+                let slot = &mut *prefix[s];
+                report.smoothing_scalar_tokens +=
+                    lockstep_smooth_scalar(&*slot.model, lag, backend, &mut slot.ws, scratch);
+            }
+        }
+        report.lockstep_tokens += width;
+        d += 1;
+    }
+    // The last sessions standing (fewer than a panel's worth) finish their
+    // remaining tokens on the scalar step.
+    for slot in group[..width].iter_mut() {
+        for obs in &slot.pending[d..] {
+            report.smoothing_scalar_tokens += push_token(
+                &slot.model,
+                lag,
+                backend,
+                slot.epoch,
+                &mut slot.ws,
+                scratch,
+                obs,
+            );
+            slot.out.extend_from_slice(&scratch.committed);
         }
     }
     for slot in group.iter_mut() {
         slot.pending.clear();
     }
-    (batched_rows, scalar_rows)
 }
 
 /// Summary of one batch tick.
@@ -296,16 +323,21 @@ pub struct TickReport {
     pub tokens: usize,
     /// Sessions rebound to a newer model epoch during this tick.
     pub rebound: usize,
-    /// Tokens advanced through the batched lockstep path this tick.
+    /// Tokens advanced through the panel steps of this tick's ragged
+    /// lockstep group: step `d` advances every session whose pending depth
+    /// exceeds `d`, while at least two do.
     pub lockstep_tokens: usize,
-    /// Tokens advanced through the per-session scalar path this tick.
+    /// Tokens advanced through the per-session scalar step this tick: the
+    /// deepest session's tokens past the second-deepest depth (all of a
+    /// lone pending session's tokens), or every token with lockstep off.
     pub scalar_tokens: usize,
     /// Smoothed posterior rows emitted through the batched panel pass this
-    /// tick (due-aligned lockstep groups under the dense backend).
+    /// tick (sessions of one panel step whose `2L` window boundary fired on
+    /// that step, under either backend).
     pub smoothing_batched_tokens: usize,
     /// Smoothed posterior rows emitted through the per-session scalar pass
-    /// this tick (straggler bands, lag-0 copies, lone due sessions, and
-    /// every sparse-backend block).
+    /// this tick (scalar-step tokens, lag-0 copies, and lone due sessions
+    /// of a panel step).
     pub smoothing_scalar_tokens: usize,
 }
 
@@ -326,7 +358,7 @@ struct PoolMetrics {
     ticks: Counter,
     /// `dhmm_stream_tick_duration_ns`.
     tick_ns: Histogram,
-    /// `dhmm_stream_lockstep_group_size` (sessions per lockstep group).
+    /// `dhmm_stream_lockstep_group_size` (starting panel width, per tick).
     group_size: Histogram,
     /// `dhmm_stream_rebinds_total`.
     rebinds: Counter,
@@ -364,7 +396,8 @@ impl PoolMetrics {
             group_size: sink.histogram(
                 "dhmm_stream_lockstep_group_size",
                 &[],
-                "Sessions co-advanced per batched lockstep group.",
+                "Sessions in a tick's ragged lockstep group (its starting panel width), \
+                 recorded once per tick that forms a panel.",
             ),
             rebinds: sink.counter(
                 "dhmm_stream_rebinds_total",
@@ -539,7 +572,8 @@ impl<E: Emission> SessionPool<E> {
     }
 
     /// Tokens advanced through the per-session scalar path over the pool's
-    /// lifetime (tick stragglers; flush-drained tokens are not counted by
+    /// lifetime (the lone deepest session's tail of a lockstep tick, or every
+    /// tick token with lockstep off; flush-drained tokens are not counted by
     /// either counter).
     pub fn scalar_tokens_total(&self) -> u64 {
         self.metrics.scalar_tokens.value()
@@ -553,9 +587,9 @@ impl<E: Emission> SessionPool<E> {
     }
 
     /// Smoothed posterior rows emitted through the per-session scalar
-    /// smoothing path over the pool's lifetime (straggler bands, lag-0
-    /// copies, lone due sessions, sparse-backend blocks; flush-drained rows
-    /// are not counted by either counter, like the token split).
+    /// smoothing path over the pool's lifetime (scalar-step tokens, lag-0
+    /// copies, lone due sessions; flush-drained rows are not counted by
+    /// either counter, like the token split).
     pub fn smoothing_scalar_total(&self) -> u64 {
         self.metrics.smoothing_scalar.value()
     }
@@ -756,39 +790,42 @@ impl<E: Emission> SessionPool<E> {
     /// # Lockstep grouping
     ///
     /// When lockstep is enabled ([`crate::StreamConfig::with_lockstep`], the
-    /// default), sessions that are **group-eligible** — same model epoch
-    /// (every session, once this tick's rebinds have run; the lag is
-    /// pool-wide), **equal pending depth**, and at least one co-grouped
-    /// peer — advance one token per step through a shared tile-major
-    /// structure-of-arrays [`BatchPanel`]: one fused kernel pass over the
-    /// shared transition matrix advances every session's filter row
-    /// (multiply-add) and Viterbi row (multiply-max plus argmax) together,
-    /// broadcasting each transition entry across register-resident session
-    /// tiles, instead of `S` separate k² loops. Under the sparse backend
-    /// the same grouping holds, with the kernel walking the shared
-    /// CSR-compiled matrix's stored entries once per step (there is no
-    /// scalar-tick downgrade for sparse pools). Everything else — singleton
-    /// depths, and the whole pool when lockstep is disabled — falls back to
-    /// the per-session scalar path, fanned out in deterministic contiguous
-    /// bands over the configured worker policy.
+    /// default), the tick first rebinds every stale session, so every
+    /// session is on the current epoch (the lag is pool-wide). The sessions
+    /// with pending tokens then form **one ragged lockstep group**, sorted
+    /// by pending depth, deepest first: step `d` advances the prefix of
+    /// sessions deeper than `d` by one token through a shared tile-major
+    /// structure-of-arrays [`BatchPanel`] that shrinks as shallow sessions
+    /// run dry. One fused kernel pass over the shared transition matrix
+    /// advances every prefix session's filter row (multiply-add) and
+    /// Viterbi row (multiply-max plus argmax) together, broadcasting each
+    /// transition entry across register-resident session tiles, instead of
+    /// `S` separate k² loops. Under the sparse backend the kernel walks the
+    /// shared CSR-compiled matrix's stored entries once per step instead.
+    /// Once a single session remains (the deepest one's tokens past the
+    /// second-deepest depth, or a lone pending session), it finishes on the
+    /// per-session scalar step. With lockstep disabled the whole pool takes
+    /// the scalar step, fanned out in deterministic contiguous bands over
+    /// the configured worker policy.
     ///
-    /// Fixed-lag smoothing inside a lockstep group is batched per *step*:
+    /// Fixed-lag smoothing inside the group is batched per *step*: prefix
     /// sessions whose `2L` window boundary fires on the same step are
     /// **due-aligned** (the block shape depends only on the lag, never on
     /// absolute stream time, so staggered-start and post-hot-swap sessions
-    /// co-batch whenever their boundaries coincide) and, under the dense
-    /// backend, share one panelized backward pass; lone due sessions and
-    /// sparse-backend blocks take the scalar tail. The split is reported by
+    /// co-batch whenever their boundaries coincide) and share one
+    /// panelized backward pass under either backend; lone due sessions take
+    /// the scalar tail. The split is reported by
     /// [`TickReport::smoothing_batched_tokens`] /
     /// [`TickReport::smoothing_scalar_tokens`].
     ///
     /// All paths are **bit-identical**: the fused kernels accumulate each
     /// filter entry in the scalar step's exact operation order (ascending
     /// predecessor index; the scalar loop's zero-predecessor skip only
-    /// drops exact `+0.0` terms), keep the scalar first-occurrence
-    /// argmax, and the commit/smoothing tail reuses the same helpers. So are all worker policies — `Serial`, `Threads(n)`
-    /// and `Auto` produce the same labels, posteriors and log-likelihoods
-    /// to the last bit (pinned by `tests/session_determinism.rs`).
+    /// drops exact `+0.0` terms), keep the scalar first-occurrence argmax,
+    /// and the commit/smoothing tail reuses the same helpers. So are all
+    /// worker policies — `Serial`, `Threads(n)` and `Auto` produce the same
+    /// labels, posteriors and log-likelihoods to the last bit (pinned by
+    /// `tests/session_determinism.rs`).
     pub fn tick(&mut self) -> TickReport
     where
         E: Send + Sync,
@@ -833,90 +870,50 @@ impl<E: Emission> SessionPool<E> {
             return report;
         }
 
-        let mut exec = Executor::new(self.parallelism);
-        if self.parallelism == Parallelism::Auto
-            && (active.len() < PAR_MIN_SESSIONS || total_tokens < PAR_MIN_TOKENS)
-        {
-            exec = Executor::serial();
-        }
-        let num_ranges = exec.num_ranges(active.len());
-        let scratches = self.scratch.ensure(num_ranges);
-        let model_ref = &model;
-
-        let mut straggler_from = 0usize;
         if self.lockstep {
+            let scratch = &mut self.scratch.ensure(1)[0];
             // Rebind every stale session up front — the same commit
             // boundary as the scalar path's in-band rebind (rebinds are
             // per-slot independent, so hoisting them cannot change any
-            // result), and it makes freshly rebound sessions
-            // lockstep-eligible like any other.
+            // result), and it puts every session on the group's epoch.
             for slot in active.iter_mut() {
                 if slot.epoch != epoch {
-                    rebind_slot(slot, model_ref, epoch, lag, backend, &mut scratches[0]);
+                    rebind_slot(slot, &model, epoch, lag, backend, scratch);
                 }
             }
-            // Group eligibility: equal pending depth with at least one
-            // co-grouped peer (epoch is uniform after the rebind pass and
-            // the lag is pool-wide). The sort is stable and sessions share
-            // no state, so reordering cannot change any session's output.
-            let mut depth_counts: Vec<(usize, usize)> = Vec::new();
-            for s in active.iter() {
-                let d = s.pending.len();
-                if d == 0 {
-                    continue;
-                }
-                match depth_counts.iter_mut().find(|(dd, _)| *dd == d) {
-                    Some((_, c)) => *c += 1,
-                    None => depth_counts.push((d, 1)),
-                }
+            // Deepest first, so every panel step's sessions are a prefix.
+            // Sessions share no state and keep their lane for the whole
+            // tick, so the order cannot change any session's output.
+            active.retain(|s| !s.pending.is_empty());
+            active.sort_by_key(|s| std::cmp::Reverse(s.pending.len()));
+            lockstep_group(
+                &model,
+                lag,
+                backend,
+                epoch,
+                clock,
+                &mut active,
+                &mut self.panel,
+                &mut self.smooth_panel,
+                scratch,
+                &mut report,
+            );
+            if active.len() >= LOCKSTEP_MIN_GROUP {
+                self.metrics.group_size.record(active.len() as u64);
             }
-            let eligible = |pending: usize| {
-                pending > 0
-                    && depth_counts
-                        .iter()
-                        .any(|&(d, c)| d == pending && c >= LOCKSTEP_MIN_GROUP)
-            };
-            active.sort_by_key(|s| {
-                let d = s.pending.len();
-                (usize::from(!eligible(d)), d)
-            });
-            let grouped_until = active
-                .iter()
-                .take_while(|s| eligible(s.pending.len()))
-                .count();
-            let (locked, _) = active.split_at_mut(grouped_until);
-            let mut rest = locked;
-            while !rest.is_empty() {
-                let depth = rest[0].pending.len();
-                let run = rest.iter().take_while(|s| s.pending.len() == depth).count();
-                let (group, tail) = std::mem::take(&mut rest).split_at_mut(run);
-                rest = tail;
-                let (batched_rows, scalar_rows) = lockstep_group(
-                    model_ref,
-                    lag,
-                    backend,
-                    epoch,
-                    clock,
-                    group,
-                    depth,
-                    &mut self.panel,
-                    &mut self.smooth_panel,
-                    &mut scratches[0],
-                );
-                report.lockstep_tokens += depth * group.len();
-                report.smoothing_batched_tokens += batched_rows;
-                report.smoothing_scalar_tokens += scalar_rows;
-                self.metrics.group_size.record(group.len() as u64);
-            }
-            straggler_from = grouped_until;
             report.scalar_tokens = report.tokens - report.lockstep_tokens;
-        }
-
-        // Stragglers (and, with lockstep disabled, everyone): the
-        // per-session scalar path, banded over the worker policy.
-        let stragglers = &mut active[straggler_from..];
-        if !stragglers.is_empty() {
-            exec.for_each_band_with(stragglers, 1, scratches, |_range, band, scratch| {
+        } else {
+            // The per-session scalar path, banded over the worker policy.
+            let mut exec = Executor::new(self.parallelism);
+            if self.parallelism == Parallelism::Auto
+                && (active.len() < PAR_MIN_SESSIONS || total_tokens < PAR_MIN_TOKENS)
+            {
+                exec = Executor::serial();
+            }
+            let num_ranges = exec.num_ranges(active.len());
+            let scratches = self.scratch.ensure(num_ranges);
+            let model_ref = &model;
+            exec.for_each_band_with(&mut active, 1, scratches, |_range, band, scratch| {
                 for slot in band.iter_mut() {
                     if slot.epoch != epoch {
                         rebind_slot(slot, model_ref, epoch, lag, backend, scratch);
@@ -924,7 +921,7 @@ impl<E: Emission> SessionPool<E> {
                     if !slot.pending.is_empty() {
                         slot.last_active = clock;
                     }
-                    for i in 0..slot.pending.len() {
+                    for obs in &slot.pending {
                         let rows = push_token(
                             &slot.model,
                             lag,
@@ -932,7 +929,7 @@ impl<E: Emission> SessionPool<E> {
                             slot.epoch,
                             &mut slot.ws,
                             scratch,
-                            &slot.pending[i],
+                            obs,
                         );
                         scratch.tick_smoothing_rows += rows as u64;
                         slot.out.extend_from_slice(&scratch.committed);

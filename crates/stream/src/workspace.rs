@@ -188,13 +188,13 @@ fn reshape(m: &mut Matrix, rows: usize, cols: usize) {
 /// `a[(i, j)]` across a register-resident tile of sessions while its inner
 /// predecessor loop walks *contiguous* memory — no strided loads, no
 /// remainder loop, no per-iteration bounds checks. Tiles past `S` are dead
-/// pad lanes. `at` caches the transition matrix pre-transposed
-/// (`at[(j, i)] = a[(i, j)]`) so predecessors of state `j` are one
-/// contiguous row.
+/// pad lanes. The transition matrix is not staged here: the kernels read
+/// the scratch's epoch-keyed transposed layouts.
 ///
-/// One panel lives in a [`crate::SessionPool`] and is re-staged per group
-/// per tick; all buffers reshape in place with grow-only capacity.
-#[derive(Debug, Clone)]
+/// One panel lives in a [`crate::SessionPool`] and is re-staged every
+/// lockstep step, its width shrinking with the tick's ragged group; all
+/// buffers keep their grow-only capacity.
+#[derive(Debug, Clone, Default)]
 pub struct BatchPanel {
     /// Sessions `S` of the last `ensure`.
     pub(crate) sessions: usize,
@@ -204,8 +204,6 @@ pub struct BatchPanel {
     pub(crate) width: usize,
     /// Number of states `k` of the last `ensure`.
     pub(crate) k: usize,
-    /// `k × k` pre-transposed transition `Aᵀ`.
-    pub(crate) at: Matrix,
     /// Previous filter rows `α̂(t-1)`, tile-major (zero column for a
     /// session at `t = 0`, whose output is overwritten with `π ⊙ e` by the
     /// finish pass).
@@ -234,36 +232,15 @@ pub struct BatchPanel {
 /// entry).
 pub(crate) const LANES: usize = 8;
 
-impl Default for BatchPanel {
-    fn default() -> Self {
-        Self {
-            sessions: 0,
-            width: 0,
-            k: 0,
-            at: Matrix::zeros(0, 0),
-            alpha_t: Vec::new(),
-            sum_t: Vec::new(),
-            prev_t: Vec::new(),
-            cur_t: Vec::new(),
-            emis_t: Vec::new(),
-            psi_t: Vec::new(),
-            shift: Vec::new(),
-            first: Vec::new(),
-        }
-    }
-}
-
 impl BatchPanel {
     /// Creates an empty panel; buffers are sized by [`BatchPanel::ensure`].
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Reshapes every buffer for an `S`-session, `k`-state group. Vector
-    /// buffers grow monotonically; matrix buffers reshape in place reusing
-    /// their backing storage.
+    /// Sizes the panel for an `S`-session, `k`-state step. Buffers grow
+    /// monotonically, so a step narrower than an earlier one reuses them.
     pub(crate) fn ensure(&mut self, sessions: usize, k: usize) {
-        reshape(&mut self.at, k, k);
         let width = sessions.next_multiple_of(LANES);
         let kw = k.checked_mul(width).expect("batch panel overflow");
         if self.prev_t.len() < kw {
@@ -281,12 +258,6 @@ impl BatchPanel {
         self.sessions = sessions;
         self.width = width;
         self.k = k;
-    }
-
-    /// Caches the group's transition matrix pre-transposed.
-    pub(crate) fn load_transition(&mut self, a: &Matrix) {
-        a.transpose_into(&mut self.at)
-            .expect("ensure sized at to the transition shape");
     }
 
     /// Active `(sessions, num_states)` shape.
@@ -463,7 +434,7 @@ pub struct StreamScratch {
     pub(crate) set_next: Vec<bool>,
     /// Smoothed rows emitted through this scratch during the *current* pool
     /// tick's scalar bands — accumulated per worker inside the parallel
-    /// straggler pass (each band owns its scratch, so no synchronization)
+    /// lockstep-off pass (each band owns its scratch, so no synchronization)
     /// and drained into the tick report afterwards. Always 0 outside a
     /// tick.
     pub(crate) tick_smoothing_rows: u64,

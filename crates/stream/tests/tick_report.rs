@@ -53,12 +53,13 @@ fn report_counts_active_flushed_idle_and_stale_epoch_sessions() {
             sessions: 2,
             tokens: 7,
             rebound: 3,
-            // Depths 3 and 4 are both singletons: no lockstep group forms.
-            lockstep_tokens: 0,
-            scalar_tokens: 7,
+            // Depths 4 and 3 share three panel steps; busy_b's 4th token
+            // is left alone and takes the scalar step.
+            lockstep_tokens: 6,
+            scalar_tokens: 1,
             // At lag 2 a smoothing block fires on the 4th token: only
-            // busy_b gets that far, emitting its oldest 2 rows on the
-            // scalar path.
+            // busy_b gets that far, on its lone scalar token, emitting its
+            // oldest 2 rows on the scalar path.
             smoothing_batched_tokens: 0,
             smoothing_scalar_tokens: 2,
         }
@@ -77,16 +78,16 @@ fn token_split_tracks_group_membership_and_accumulates_on_the_pool() {
     let c = pool.create();
     let _idle = pool.create();
 
-    // a and b share depth 5 (one lockstep group); c is a depth-3 singleton
-    // and falls back to the scalar path.
+    // One ragged group: a and b (depth 5) and c (depth 3) share three panel
+    // steps, then a and b share two more. Nothing is left alone.
     pool.push_many(a, [0usize, 1, 0, 1, 1]).unwrap();
     pool.push_many(b, [1usize, 0, 0, 1, 0]).unwrap();
     pool.push_many(c, [0usize, 0, 1]).unwrap();
     let report = pool.tick();
     assert_eq!(report.sessions, 3);
     assert_eq!(report.tokens, 13);
-    assert_eq!(report.lockstep_tokens, 10);
-    assert_eq!(report.scalar_tokens, 3);
+    assert_eq!(report.lockstep_tokens, 13);
+    assert_eq!(report.scalar_tokens, 0);
     // a and b hit their lag-2 window boundary on the same lockstep step,
     // so their blocks run as one batched panel (2 rows each); c never
     // accumulates the 4 tokens a block needs.
@@ -107,8 +108,8 @@ fn token_split_tracks_group_membership_and_accumulates_on_the_pool() {
     assert_eq!(report.smoothing_scalar_tokens, 0);
 
     // The pool-lifetime counters are the running sums of the reports.
-    assert_eq!(pool.lockstep_tokens_total(), 16);
-    assert_eq!(pool.scalar_tokens_total(), 3);
+    assert_eq!(pool.lockstep_tokens_total(), 19);
+    assert_eq!(pool.scalar_tokens_total(), 0);
     assert_eq!(pool.smoothing_batched_total(), 10);
     assert_eq!(pool.smoothing_scalar_total(), 0);
 }
