@@ -14,15 +14,14 @@
 //! With `--lockstep` a third section is recorded: single-core tokens/sec
 //! of the pool's batched lockstep tick versus the per-session scalar path
 //! over S ∈ {1, 8, 64} co-resident sessions — the speedup the tile-major
-//! panel + fused kernel buy when equal-depth sessions advance together (results are
+//! panel + fused kernel buy when sessions advance together (results are
 //! bit-identical either way; see `tests/session_determinism.rs`). The sweep
 //! runs per `--backend` (`dense`, `sparse`, or both): the dense rows use a
 //! Dirichlet transition matrix and the dense fused kernel, the sparse rows a
 //! concentrated-transition model (≈`SPARSE_DENSITY_PCT`% heavy successors
 //! per row, the regime the diversified M-step drives rows toward) through
-//! the CSR lockstep kernel. Each lockstep row also records the batched vs
-//! scalar smoothing-row split, so the panelized-smoothing hit rate is
-//! visible next to the speedup it buys.
+//! the CSR lockstep kernel. Pool ticks run no fixed-lag smoothing (a pool
+//! returns labels only), so no smoothing split is recorded.
 //!
 //! Run with:
 //! ```text
@@ -292,9 +291,6 @@ struct LockstepRow {
     density: Option<f64>,
     scalar_tokens_per_sec: f64,
     lockstep_tokens_per_sec: f64,
-    /// Smoothing-row split of the lockstep run.
-    smoothing_batched: u64,
-    smoothing_scalar: u64,
 }
 
 impl LockstepRow {
@@ -319,16 +315,9 @@ impl OverheadRow {
     }
 }
 
-/// What one multiplexed run measured: wall-clock throughput plus the
-/// pool-lifetime path counters the run accumulated.
-struct PoolRunStats {
-    tokens_per_sec: f64,
-    smoothing_batched: u64,
-    smoothing_scalar: u64,
-}
-
 /// One full multiplexed run: `sessions` sessions × `tokens` tokens, fed in
 /// `TICK_CHUNK`-token rounds, under an explicit thread policy and backend.
+/// Returns the wall-clock throughput in tokens per second.
 fn pool_run(
     m: &Arc<Hmm<DiscreteEmission>>,
     streams: &[Vec<usize>],
@@ -337,7 +326,7 @@ fn pool_run(
     lockstep: bool,
     backend: InferenceBackend,
     telemetry: TelemetrySink,
-) -> PoolRunStats {
+) -> f64 {
     let mut pool = SessionPool::with_config(
         Arc::clone(m),
         StreamConfig::default()
@@ -370,11 +359,7 @@ fn pool_run(
         pool.take_committed(*id, &mut sink).expect("live session");
         black_box(sink.len());
     }
-    PoolRunStats {
-        tokens_per_sec: tokens as f64 / start.elapsed().as_secs_f64(),
-        smoothing_batched: pool.smoothing_batched_total(),
-        smoothing_scalar: pool.smoothing_scalar_total(),
-    }
+    tokens as f64 / start.elapsed().as_secs_f64()
 }
 
 fn main() {
@@ -419,18 +404,15 @@ fn main() {
                 // keeps measuring the per-session scalar path its history
                 // was recorded against; `--lockstep` benches the batched
                 // path separately below.
-                black_box(
-                    pool_run(
-                        &m,
-                        &streams,
-                        lag,
-                        1,
-                        false,
-                        InferenceBackend::Scaled,
-                        TelemetrySink::Disabled,
-                    )
-                    .tokens_per_sec,
-                );
+                black_box(pool_run(
+                    &m,
+                    &streams,
+                    lag,
+                    1,
+                    false,
+                    InferenceBackend::Scaled,
+                    TelemetrySink::Disabled,
+                ));
                 let serial = pool_run(
                     &m,
                     &streams,
@@ -439,8 +421,7 @@ fn main() {
                     false,
                     InferenceBackend::Scaled,
                     TelemetrySink::Disabled,
-                )
-                .tokens_per_sec;
+                );
                 for &threads in &args.threads {
                     let tps = if threads == 1 {
                         serial
@@ -454,7 +435,6 @@ fn main() {
                             InferenceBackend::Scaled,
                             TelemetrySink::Disabled,
                         )
-                        .tokens_per_sec
                     };
                     throughput_rows.push(ThroughputRow {
                         k,
@@ -498,18 +478,15 @@ fn main() {
             .map(|i| stream(args.tokens, 3000 + i as u64))
             .collect();
         let best = |sink_of: &dyn Fn() -> TelemetrySink| -> f64 {
-            black_box(
-                pool_run(
-                    &m,
-                    &streams,
-                    0,
-                    1,
-                    true,
-                    InferenceBackend::Scaled,
-                    sink_of(),
-                )
-                .tokens_per_sec,
-            );
+            black_box(pool_run(
+                &m,
+                &streams,
+                0,
+                1,
+                true,
+                InferenceBackend::Scaled,
+                sink_of(),
+            ));
             (0..3)
                 .map(|_| {
                     pool_run(
@@ -521,7 +498,6 @@ fn main() {
                         InferenceBackend::Scaled,
                         sink_of(),
                     )
-                    .tokens_per_sec
                 })
                 .fold(0.0, f64::max)
         };
@@ -579,10 +555,15 @@ fn main() {
                         let streams: Vec<Vec<usize>> = (0..sessions)
                             .map(|i| stream(args.tokens, 2000 + i as u64))
                             .collect();
-                        black_box(
-                            pool_run(&m, &streams, lag, 1, true, backend, TelemetrySink::Disabled)
-                                .tokens_per_sec,
-                        );
+                        black_box(pool_run(
+                            &m,
+                            &streams,
+                            lag,
+                            1,
+                            true,
+                            backend,
+                            TelemetrySink::Disabled,
+                        ));
                         let scalar = pool_run(
                             &m,
                             &streams,
@@ -600,10 +581,8 @@ fn main() {
                             sessions,
                             backend: if sparse { "sparse" } else { "dense" },
                             density,
-                            scalar_tokens_per_sec: scalar.tokens_per_sec,
-                            lockstep_tokens_per_sec: lockstep.tokens_per_sec,
-                            smoothing_batched: lockstep.smoothing_batched,
-                            smoothing_scalar: lockstep.smoothing_scalar,
+                            scalar_tokens_per_sec: scalar,
+                            lockstep_tokens_per_sec: lockstep,
                         });
                     }
                 }
@@ -612,19 +591,12 @@ fn main() {
 
         println!("\nstream: lockstep vs scalar tick, single core\n");
         println!(
-            "{:>6} {:>4} {:>5} {:>9} {:>14} {:>14} {:>9} {:>12}",
-            "path",
-            "k",
-            "lag",
-            "sessions",
-            "scalar tok/s",
-            "lockstep tok/s",
-            "speedup",
-            "smooth b/s"
+            "{:>6} {:>4} {:>5} {:>9} {:>14} {:>14} {:>9}",
+            "path", "k", "lag", "sessions", "scalar tok/s", "lockstep tok/s", "speedup"
         );
         for r in &lockstep_rows {
             println!(
-                "{:>6} {:>4} {:>5} {:>9} {:>14.0} {:>14.0} {:>8.2}x {:>6}/{:<5}",
+                "{:>6} {:>4} {:>5} {:>9} {:>14.0} {:>14.0} {:>8.2}x",
                 r.backend,
                 r.k,
                 r.lag,
@@ -632,8 +604,6 @@ fn main() {
                 r.scalar_tokens_per_sec,
                 r.lockstep_tokens_per_sec,
                 r.speedup(),
-                r.smoothing_batched,
-                r.smoothing_scalar,
             );
         }
     }
@@ -708,8 +678,8 @@ fn main() {
             .unwrap_or_default();
         let _ = write!(
             json,
-            "    {{\"k\": {}, \"lag\": {}, \"sessions\": {}, \"threads\": 1, \"backend\": \"{}\", \"path\": \"{}\"{}, \"scalar_tokens_per_sec\": {:.0}, \"lockstep_tokens_per_sec\": {:.0}, \"speedup_vs_scalar\": {:.2}, \"smoothing_batched_rows\": {}, \"smoothing_scalar_rows\": {}}}",
-            r.k, r.lag, r.sessions, r.backend, path, density, r.scalar_tokens_per_sec, r.lockstep_tokens_per_sec, r.speedup(), r.smoothing_batched, r.smoothing_scalar
+            "    {{\"k\": {}, \"lag\": {}, \"sessions\": {}, \"threads\": 1, \"backend\": \"{}\", \"path\": \"{}\"{}, \"scalar_tokens_per_sec\": {:.0}, \"lockstep_tokens_per_sec\": {:.0}, \"speedup_vs_scalar\": {:.2}}}",
+            r.k, r.lag, r.sessions, r.backend, path, density, r.scalar_tokens_per_sec, r.lockstep_tokens_per_sec, r.speedup()
         );
         json.push_str(if i + 1 < lockstep_rows.len() {
             ",\n"

@@ -39,7 +39,7 @@
 //! | `ok flushed <start> <n> <label>… ll <float> tokens <t>` | `flush` — the tail, final log-likelihood, token count |
 //! | `ok closed` | `close` |
 //! | `ok epoch <e>` | `swap-model` — the newly published epoch |
-//! | `ok stats active <n> epoch <e> clock <c> evicted <n> lockstep <n> scalar <n> smoothing-batched <n> smoothing-scalar <n>` | `stats` |
+//! | `ok stats active <n> epoch <e> clock <c> evicted <n> lockstep <n> scalar <n>` | `stats` |
 //! | `ok metrics␊<exposition…>` | `metrics` — everything after the first newline is the Prometheus-style text exposition, verbatim |
 //! | `err <code> <message…>` | any verb |
 //!
@@ -92,8 +92,17 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // Grow the buffer with the bytes that actually arrive instead of
+    // allocating the declared length up front: a peer that announces a
+    // 16 MiB frame and sends 10 bytes costs 10 bytes, not 16 MiB.
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("eof after {} of {len} frame bytes", payload.len()),
+        ));
+    }
     String::from_utf8(payload)
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
@@ -281,10 +290,6 @@ pub enum Response {
         lockstep_tokens: u64,
         /// Tokens the pool advanced through the per-session scalar path.
         scalar_tokens: u64,
-        /// Smoothed rows emitted through the batched panel pass.
-        smoothing_batched: u64,
-        /// Smoothed rows emitted through the scalar backward pass.
-        smoothing_scalar: u64,
     },
     /// `metrics` snapshot: the Prometheus-style text exposition, carried
     /// verbatim (the one multi-line response payload).
@@ -337,12 +342,9 @@ impl Response {
                 evicted,
                 lockstep_tokens,
                 scalar_tokens,
-                smoothing_batched,
-                smoothing_scalar,
             } => format!(
                 "ok stats active {active} epoch {epoch} clock {clock} evicted {evicted} \
-                 lockstep {lockstep_tokens} scalar {scalar_tokens} \
-                 smoothing-batched {smoothing_batched} smoothing-scalar {smoothing_scalar}"
+                 lockstep {lockstep_tokens} scalar {scalar_tokens}"
             ),
             Response::Metrics { text } => format!("ok metrics\n{text}"),
             Response::Error { code, message } => format!("err {code} {message}"),
@@ -450,8 +452,6 @@ impl Response {
                     evicted: field("evicted")?,
                     lockstep_tokens: field("lockstep")?,
                     scalar_tokens: field("scalar")?,
-                    smoothing_batched: field("smoothing-batched")?,
-                    smoothing_scalar: field("smoothing-scalar")?,
                 })
             }
             other => Err(bad(format!("unknown ok kind {other:?}"))),
@@ -479,6 +479,42 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
         assert!(read_frame(&mut &buf[..]).is_err());
+    }
+
+    /// A reader that yields a scripted byte stream, then EOF, and records
+    /// the largest buffer any `read` call was handed.
+    struct Scripted {
+        data: Vec<u8>,
+        pos: usize,
+        largest_buf: usize,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_buf = self.largest_buf.max(buf.len());
+            let n = buf.len().min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn short_payload_fails_without_allocating_the_declared_length() {
+        let mut data = (MAX_FRAME_LEN as u32).to_be_bytes().to_vec();
+        data.extend_from_slice(b"push 0.0 1");
+        let mut r = Scripted {
+            data,
+            pos: 0,
+            largest_buf: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.largest_buf < 1024 * 1024,
+            "a read was handed a {}-byte buffer",
+            r.largest_buf
+        );
     }
 
     #[test]
@@ -531,8 +567,6 @@ mod tests {
                 evicted: 1,
                 lockstep_tokens: 4096,
                 scalar_tokens: 17,
-                smoothing_batched: 2048,
-                smoothing_scalar: 5,
             },
             Response::Metrics {
                 text: "# HELP dhmm_serve_requests_total Requests handled.\n\

@@ -35,6 +35,7 @@ use dhmm_hmm::model::Hmm;
 use dhmm_runtime::Parallelism;
 use dhmm_stream::{InferenceBackend, SessionPool, StreamConfig};
 use dhmm_telemetry::{Counter, Gauge, Histogram, TelemetrySink};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -443,8 +444,6 @@ fn apply_batch<E: ServableEmission>(
                 evicted: pool.evicted_total(),
                 lockstep_tokens: pool.lockstep_tokens_total(),
                 scalar_tokens: pool.scalar_tokens_total(),
-                smoothing_batched: pool.smoothing_batched_total(),
-                smoothing_scalar: pool.smoothing_scalar_total(),
             }),
             Request::Metrics => Some(Response::Metrics {
                 text: metrics.render(),
@@ -765,10 +764,15 @@ where
         })?;
 
     let accept_stop = Arc::clone(&stop);
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+    // Open connections by id, so shutdown can unblock their readers. Each
+    // client thread removes its own entry when it exits: a registry that
+    // kept every connection ever accepted would hold one fd per connection
+    // until shutdown.
+    let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
     let accept_thread = thread::Builder::new()
         .name("dhmm-serve-accept".into())
         .spawn(move || {
+            let mut next_id = 0u64;
             loop {
                 if accept_stop.load(Ordering::SeqCst) || signals::shutdown_requested() {
                     break;
@@ -776,13 +780,22 @@ where
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let _ = stream.set_nodelay(true);
+                        let id = next_id;
+                        next_id += 1;
                         if let Ok(clone) = stream.try_clone() {
-                            conns.lock().expect("conn registry").push(clone);
+                            conns.lock().expect("conn registry").insert(id, clone);
                         }
                         let tx = tx.clone();
-                        let _ = thread::Builder::new()
+                        let registry = Arc::clone(&conns);
+                        let spawned = thread::Builder::new()
                             .name("dhmm-serve-client".into())
-                            .spawn(move || client_loop(stream, tx));
+                            .spawn(move || {
+                                client_loop(stream, tx);
+                                registry.lock().expect("conn registry").remove(&id);
+                            });
+                        if spawned.is_err() {
+                            conns.lock().expect("conn registry").remove(&id);
+                        }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         thread::sleep(Duration::from_millis(5));
@@ -792,7 +805,7 @@ where
             }
             // Unblock every reader so client threads exit and drop their
             // channel senders; the engine then drains and stops.
-            for conn in conns.lock().expect("conn registry").drain(..) {
+            for (_, conn) in conns.lock().expect("conn registry").drain() {
                 let _ = conn.shutdown(std::net::Shutdown::Both);
             }
             drop(tx);

@@ -200,52 +200,31 @@ fn metrics_verb_exposes_every_layer_and_advances_with_traffic() {
     assert!(evicted >= 1.0, "idle session was not evicted: {evicted}");
 
     // Stats parity: the wire `stats` reply reads the same storage the
-    // exposition renders, so the shared fields must agree exactly.
-    let stats = match client.call(&Request::Stats).unwrap() {
-        Response::Stats {
-            active,
-            epoch,
-            clock,
-            evicted,
-            lockstep_tokens,
-            scalar_tokens,
-            smoothing_batched,
-            smoothing_scalar,
-        } => (
-            active,
-            epoch,
-            clock,
-            evicted,
-            lockstep_tokens,
-            scalar_tokens,
-            smoothing_batched,
-            smoothing_scalar,
-        ),
-        other => panic!("stats failed: {other:?}"),
+    // exposition renders, so every shared field must agree exactly.
+    let Response::Stats {
+        active: _,
+        epoch,
+        clock,
+        evicted,
+        lockstep_tokens,
+        scalar_tokens,
+    } = client.call(&Request::Stats).unwrap()
+    else {
+        panic!("stats verb failed");
     };
     let text = scrape(&mut client);
-    assert_eq!(sample(&text, "dhmm_serve_epoch"), Some(stats.1 as f64));
-    assert_eq!(sample(&text, "dhmm_stream_clock"), Some(stats.2 as f64));
-    assert_eq!(
-        sample(&text, "dhmm_stream_evicted_sessions_total"),
-        Some(stats.3 as f64)
-    );
-    assert_eq!(
-        sample(&text, "dhmm_stream_lockstep_tokens_total"),
-        Some(stats.4 as f64)
-    );
-    assert_eq!(
-        sample(&text, "dhmm_stream_scalar_tokens_total"),
-        Some(stats.5 as f64)
-    );
-    assert_eq!(
-        sample(&text, "dhmm_stream_smoothing_batched_rows_total"),
-        Some(stats.6 as f64)
-    );
-    assert_eq!(
-        sample(&text, "dhmm_stream_smoothing_scalar_rows_total"),
-        Some(stats.7 as f64)
-    );
+    for (metric, value) in [
+        ("dhmm_serve_epoch", epoch),
+        ("dhmm_stream_clock", clock),
+        ("dhmm_stream_evicted_sessions_total", evicted),
+        ("dhmm_stream_lockstep_tokens_total", lockstep_tokens),
+        ("dhmm_stream_scalar_tokens_total", scalar_tokens),
+    ] {
+        assert_eq!(sample(&text, metric), Some(value as f64), "{metric}");
+    }
+    // The pool emits no smoothed posteriors, so it exports no smoothing
+    // counters.
+    assert!(!text.contains("dhmm_stream_smoothing_"), "{text}");
 
     handle.shutdown().unwrap();
     let _ = std::fs::remove_file(path_a);

@@ -51,12 +51,10 @@
 //! on every input whose optimum has positive probability.
 
 use crate::error::StreamError;
-use crate::workspace::{BatchPanel, SmoothPanel, StreamScratch, StreamWorkspace, LANES};
+use crate::workspace::{BatchPanel, StreamScratch, StreamWorkspace, LANES};
 use dhmm_hmm::emission::Emission;
 use dhmm_hmm::model::Hmm;
-use dhmm_hmm::scaled::{
-    beta_panel_step, beta_panel_step_sparse, emission_likelihood_row, scale_row,
-};
+use dhmm_hmm::scaled::{emission_likelihood_row, scale_row};
 use dhmm_hmm::sparse::{beam_prune, SparseParams};
 use dhmm_hmm::InferenceBackend;
 use dhmm_linalg::{CsrMatrix, Matrix};
@@ -73,9 +71,9 @@ pub(crate) fn ring_window(lag: usize) -> usize {
 
 /// One fixed-lag smoothing decision, derived by [`smoothing_action`] /
 /// [`flush_smoothing_action`]. These two functions are the single source of
-/// the smoothing-window extents: the scalar per-push tail, the lockstep
-/// finish pass and the batched panel gather all consume the same numbers
-/// instead of re-deriving them.
+/// the smoothing-window extents; only [`StreamingDecoder`] smooths (a
+/// [`crate::SessionPool`] returns labels and log-likelihoods, never
+/// posteriors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SmoothAction {
     /// `lag = 0`: β ≡ 1 over a window of one, so the smoothed row for `t`
@@ -98,9 +96,7 @@ pub(crate) enum SmoothAction {
 /// first not-yet-emitted time `smoothed_upto`. With `lag > 0` the block
 /// fires once `2L` un-smoothed steps have accumulated; because the boundary
 /// is checked on every push, it is reached by exact equality, so every
-/// mid-stream block spans exactly `2L` steps and emits exactly `L` rows —
-/// the invariant the batched panel gather relies on to co-schedule sessions
-/// at different absolute `t`.
+/// mid-stream block spans exactly `2L` steps and emits exactly `L` rows.
 pub(crate) fn smoothing_action(lag: usize, t: usize, smoothed_upto: usize) -> Option<SmoothAction> {
     if lag == 0 {
         return Some(SmoothAction::CopyFiltered);
@@ -149,10 +145,13 @@ pub(crate) fn flush_smoothing_action(
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
     /// Fixed lag `L`: the Viterbi label of time `t` is emitted no later than
-    /// after token `t + L`, and smoothed posteriors condition on at least
-    /// `L` tokens of lookahead. Memory is O(max(2L, 1) · k) per session.
-    /// `lag ≥ T` makes the stream exactly equivalent to offline decoding;
-    /// `lag = 0` degenerates to committed-as-you-go greedy filtering.
+    /// after token `t + L`. In a [`StreamingDecoder`], smoothed posteriors
+    /// also condition on at least `L` tokens of lookahead; in a
+    /// [`crate::SessionPool`], `lag` bounds commit latency only — the pool
+    /// emits no posteriors (use a [`StreamingDecoder`] for them). Memory is
+    /// O(max(2L, 1) · k) per session. `lag ≥ T` makes the stream exactly
+    /// equivalent to offline decoding; `lag = 0` degenerates to
+    /// committed-as-you-go greedy filtering.
     pub lag: usize,
     /// Inference engine. Streaming supports [`InferenceBackend::Scaled`]
     /// (the default) and [`InferenceBackend::Sparse`] — both have a
@@ -340,8 +339,9 @@ pub struct FlushOutput<'a> {
 /// recursions are bit-identical to before, with the Viterbi inner loop
 /// reading the cached transposed transition (contiguous predecessor rows).
 ///
-/// Returns the number of smoothed posterior rows emitted into
-/// `scratch.smoothed` by this push (the pool's smoothing-path counters).
+/// Runs the filter, the Viterbi step and both commit rules, but no
+/// fixed-lag smoothing: a pool returns labels only, and
+/// [`StreamingDecoder::push`] applies the smoothing step itself.
 pub(crate) fn push_token<E: Emission>(
     model: &Hmm<E>,
     lag: usize,
@@ -350,7 +350,7 @@ pub(crate) fn push_token<E: Emission>(
     ws: &mut StreamWorkspace,
     scratch: &mut StreamScratch,
     obs: &E::Obs,
-) -> usize {
+) {
     assert!(
         !ws.finished,
         "StreamingDecoder::push after flush; call reset() to start a new stream"
@@ -510,30 +510,12 @@ pub(crate) fn push_token<E: Emission>(
         }
     }
 
-    let rows = commit_and_smooth(model, lag, backend, ws, scratch, t);
-    ws.t = t + 1;
-    rows
-}
-
-/// The per-token tail of the scalar path: both commit rules plus the
-/// fixed-lag smoothing action, for the token at time `t` (whose
-/// filter/Viterbi rows are already in the rings). Does not advance `ws.t` —
-/// the caller does. Returns the smoothed rows emitted.
-fn commit_and_smooth<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    backend: InferenceBackend,
-    ws: &mut StreamWorkspace,
-    scratch: &mut StreamScratch,
-    t: usize,
-) -> usize {
     commit_rules(ws, scratch, t, lag);
-    apply_smoothing(model, lag, backend, ws, scratch, t)
+    ws.t = t + 1;
 }
 
 /// Both Viterbi commit rules for the token at time `t` — shared verbatim by
-/// the scalar path and the lockstep finish pass (which defers only the
-/// smoothing block, never the commits).
+/// the scalar path and the lockstep finish pass.
 fn commit_rules(ws: &mut StreamWorkspace, scratch: &mut StreamScratch, t: usize, lag: usize) {
     // --- Commit rule 1: path convergence (amortized). The level-set walk
     // costs O(window · k), so it is re-armed only after the uncommitted
@@ -554,8 +536,10 @@ fn commit_rules(ws: &mut StreamWorkspace, scratch: &mut StreamScratch, t: usize,
 }
 
 /// Applies the [`smoothing_action`] for the token at time `t` through the
-/// scalar backward pass, advancing `ws.smoothed_upto`. Returns the smoothed
-/// rows emitted into `scratch.smoothed`.
+/// backward pass, advancing `ws.smoothed_upto`. Returns the smoothed rows
+/// emitted into `scratch.smoothed`. Only [`StreamingDecoder::push`] calls
+/// it: smoothing reads nothing but the α̂ and emission rings, which the
+/// commit rules never touch, so running it after them is bit-safe.
 fn apply_smoothing<E: Emission>(
     model: &Hmm<E>,
     lag: usize,
@@ -855,29 +839,12 @@ fn lockstep_kernel_sparse_impl(panel: &mut BatchPanel, tr: &CsrMatrix) {
     }
 }
 
-/// What [`lockstep_finish`] did about smoothing for one session, so the
-/// group loop can route the deferred block to the batched panel pass or the
-/// scalar tail and keep the smoothing-path counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LockstepFinish {
-    /// A full smoothing block fired at this step; it was *deferred* (the
-    /// workspace's `smoothed_upto` is untouched) so the group can co-run
-    /// every due session through [`lockstep_smooth_block`] or the scalar
-    /// tail [`lockstep_smooth_scalar`] — same step, same bits, batched.
-    pub(crate) block_due: bool,
-    /// Smoothed rows emitted inline by this finish (the lag-0 copy path).
-    pub(crate) smoothed_rows: usize,
-}
-
 /// Lockstep step 3 of 3 — finishes session `s`'s token from the panel: the
 /// emission multiply + scale on the gathered filter column (the scalar
 /// filter's op order exactly, including the sparse beam + bound
 /// accounting), the Viterbi normalization on the gathered `δ(t)` column,
-/// then the commit rules. The fixed-lag smoothing *block* is not run here:
-/// when one is due it is reported back deferred, so the group loop can
-/// batch the t-aligned blocks of the whole group in one panel pass.
-/// Deferral is bit-safe — the block reads only the α̂/emission rings, all
-/// fully written for this step before any smoothing runs. Advances `ws.t`.
+/// then the commit rules — the same per-token work as [`push_token`], so no
+/// smoothing either. Advances `ws.t`.
 pub(crate) fn lockstep_finish<E: Emission>(
     model: &Hmm<E>,
     lag: usize,
@@ -886,7 +853,7 @@ pub(crate) fn lockstep_finish<E: Emission>(
     scratch: &mut StreamScratch,
     panel: &mut BatchPanel,
     s: usize,
-) -> LockstepFinish {
+) {
     let k = ws.num_states;
     let t = ws.t;
     let slot = ws.slot(t);
@@ -965,185 +932,7 @@ pub(crate) fn lockstep_finish<E: Emission>(
     }
 
     commit_rules(ws, scratch, t, lag);
-    let mut fin = LockstepFinish::default();
-    match smoothing_action(lag, t, ws.smoothed_upto) {
-        Some(SmoothAction::CopyFiltered) => {
-            scratch.smoothed[..k].copy_from_slice(ws.alpha_row(t));
-            scratch.smoothed_len = 1;
-            scratch.smoothed_start = t;
-            ws.smoothed_upto = t + 1;
-            fin.smoothed_rows = 1;
-        }
-        Some(SmoothAction::Block { .. }) => fin.block_due = true,
-        None => {}
-    }
     ws.t = t + 1;
-    fin
-}
-
-/// Runs the smoothing block deferred by [`lockstep_finish`] for one session
-/// through the scalar backward pass — the tail for sessions whose block
-/// fired without enough due peers to panelize (both backends batch their
-/// due-aligned groups through [`lockstep_smooth_block`]). Returns the
-/// smoothed rows emitted.
-pub(crate) fn lockstep_smooth_scalar<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    backend: InferenceBackend,
-    ws: &mut StreamWorkspace,
-    scratch: &mut StreamScratch,
-) -> usize {
-    apply_smoothing(model, lag, backend, ws, scratch, ws.t - 1)
-}
-
-/// Runs the smoothing blocks deferred by [`lockstep_finish`] for a group of
-/// **due-aligned** sessions — sessions whose `2L` window boundary fired on
-/// the same lockstep step — in one batched panel pass. Returns the smoothed
-/// rows emitted (`L` per session).
-///
-/// The blocks need not share absolute stream time: a mid-stream block is
-/// always exactly `2L` steps ending at the session's newest token (see
-/// [`smoothing_action`]), so the backward recursion is uniform in the
-/// *offset* `d` from each session's own `from = t`. The panel therefore
-/// advances all sessions by offset: at `d` it builds the weight rows
-/// `w[s][j] = e_s(τ_s+1)[j] · β_s(τ_s+1)[j]` (where `τ_s = from_s − d`),
-/// drives one shared transposed-GEMM step over the transition matrix via
-/// [`beta_panel_step`], sum-normalizes per session, and for `d ≥ L` emits
-/// the γ row of `τ_s`. This replaces `S` independent O(L·k²) scalar passes
-/// with one panelized pass over the shared matrix.
-///
-/// For sparse-backend groups, `sparse` carries the epoch-shared pruned
-/// forward matrix Ã and the backward step becomes [`beta_panel_step_sparse`]:
-/// one walk over the stored CSR entries per offset, each `ã[(i, j)]`
-/// broadcast across the session lanes — the same amortization the sparse
-/// lockstep kernel applies to the forward pass.
-///
-/// Bit-identity with [`backward_smooth`] holds lane-wise: each session's β
-/// entry accumulates `Σ_j a[(i, j)] · w[j]` over ascending `j` in a single
-/// accumulator inside [`beta_panel_step`] / [`beta_panel_step_sparse`]
-/// (the scalar dot's exact op order, including [`CsrMatrix::dot_row`]'s
-/// `ã · w` stored-order chain — the panel vectorizes *across sessions*,
-/// never reassociating within one), the normalizer is the same ascending
-/// `iter().sum()` + divide, and the γ rows are the same `α̂ ⊙ β` +
-/// `normalize_in_place`. The emitted rows land in `panel.gamma`
-/// (per-session row-major), and `ws.smoothed_upto` advances exactly as the
-/// scalar block would.
-pub(crate) fn lockstep_smooth_block<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    sparse: Option<&CsrMatrix>,
-    group: &mut [&mut StreamWorkspace],
-    panel: &mut SmoothPanel,
-) -> usize {
-    let k = model.num_states();
-    let a = model.transition();
-    let win = 2 * lag;
-    panel.ensure(group.len(), k, lag);
-    let kl = k * LANES;
-    let active = (panel.width / LANES) * kl;
-
-    // d = 0: β(from) = 1 for every lane (pad lanes included — harmless).
-    panel.beta[0][..active].fill(1.0);
-    for d in 1..win {
-        let parity = d % 2;
-        // Weight rows w[s][j] = e(τ+1)[j] · β(τ+1)[j], built tile-major:
-        // gather the lane emission rows once, then one contiguous 8-lane
-        // sweep per tile (sequential reads per lane stream, contiguous
-        // writes) instead of a stride-LANES scatter per session.
-        {
-            let (w_t, beta_prev) = (&mut panel.w_t, &panel.beta[1 - parity]);
-            let zero = &panel.zero_row[..k];
-            for (tile, lanes) in group.chunks(LANES).enumerate() {
-                let base = tile * kl;
-                let mut rows: [&[f64]; LANES] = [zero; LANES];
-                for (l, ws) in lanes.iter().enumerate() {
-                    let from = ws.t - 1;
-                    let slot = ws.slot(from - d + 1);
-                    rows[l] = &ws.emis[slot * k..(slot + 1) * k];
-                }
-                let beta_tile = &beta_prev[base..base + kl];
-                let w_tile = &mut w_t[base..base + kl];
-                for (j, (w8, b8)) in w_tile
-                    .chunks_exact_mut(LANES)
-                    .zip(beta_tile.chunks_exact(LANES))
-                    .enumerate()
-                {
-                    for l in 0..LANES {
-                        w8[l] = rows[l][j] * b8[l];
-                    }
-                }
-            }
-        }
-        // One shared backward step for the whole group: β(τ)[s][i] =
-        // Σ_j a[(i, j)] · w[s][j] over the lane tiles.
-        {
-            let (w_t, beta) = (&panel.w_t, &mut panel.beta);
-            match sparse {
-                Some(fwd) => beta_panel_step_sparse::<LANES>(
-                    fwd,
-                    &w_t[..active],
-                    &mut beta[parity][..active],
-                ),
-                None => beta_panel_step::<LANES>(a, &w_t[..active], &mut beta[parity][..active]),
-            }
-        }
-        // Per-session sum-normalize, the scalar op order per lane
-        // (ascending-state single-accumulator sum, then divide), swept
-        // tile-major so every load and store is contiguous. Lanes whose sum
-        // is not positive divide by 1.0 — the bit-exact identity — instead
-        // of branching per element, which keeps the sweep uniform (and
-        // leaves dead pad lanes at 0).
-        {
-            let beta_cur = &mut panel.beta[parity];
-            for tile_base in (0..active).step_by(kl) {
-                let mut norm = [0.0f64; LANES];
-                for j in 0..k {
-                    let o = tile_base + j * LANES;
-                    let b8: &[f64; LANES] = beta_cur[o..o + LANES].try_into().unwrap();
-                    for l in 0..LANES {
-                        norm[l] += b8[l];
-                    }
-                }
-                let mut div = [1.0f64; LANES];
-                for l in 0..LANES {
-                    if norm[l] > 0.0 {
-                        div[l] = norm[l];
-                    }
-                }
-                for j in 0..k {
-                    let o = tile_base + j * LANES;
-                    let b8: &mut [f64; LANES] = (&mut beta_cur[o..o + LANES]).try_into().unwrap();
-                    for l in 0..LANES {
-                        b8[l] /= div[l];
-                    }
-                }
-            }
-        }
-        // Emit γ(τ) = normalize(α̂ ⊙ β) once τ is in the oldest-L span.
-        if d >= lag {
-            let r = win - 1 - d;
-            let (gamma, beta) = (&mut panel.gamma, &panel.beta[parity]);
-            for (s, ws) in group.iter().enumerate() {
-                let tau = ws.t - 1 - d;
-                let alpha_row = ws.alpha_row(tau);
-                let tb = (s / LANES) * kl + (s % LANES);
-                let out = &mut gamma[(s * lag + r) * k..(s * lag + r + 1) * k];
-                for (j, (g, &av)) in out.iter_mut().zip(alpha_row).enumerate() {
-                    *g = av * beta[tb + j * LANES];
-                }
-                dhmm_linalg::normalize_in_place(out);
-            }
-        }
-    }
-    for ws in group.iter_mut() {
-        debug_assert_eq!(
-            ws.t - ws.smoothed_upto,
-            win,
-            "a due-aligned session must hold exactly one full 2L window"
-        );
-        ws.smoothed_upto = ws.t - lag;
-    }
-    group.len() * lag
 }
 
 /// Finds the newest time at which all surviving Viterbi paths pass through a
@@ -1291,9 +1080,9 @@ fn commit_chain(ws: &StreamWorkspace, scratch: &mut StreamScratch, m: usize, x: 
 /// emitting normalized `γ` rows for times `downto ..= emit_upto` into
 /// `scratch.smoothed` (ascending). Exactly the offline backward recursion,
 /// restricted to the ring window. Under the sparse backend the per-row dot
-/// runs over the CSR-stored entries of `Ã` (the scratch cache must already
-/// be prepared — every caller runs after a push or prepares explicitly),
-/// keeping the smoothed posteriors consistent with the pruned filter.
+/// runs over the CSR-stored entries of `Ã` (the decoder's own scratch
+/// cache, prepared by its pushes), keeping the smoothed posteriors
+/// consistent with the pruned filter.
 fn backward_smooth<E: Emission>(
     model: &Hmm<E>,
     backend: InferenceBackend,
@@ -1376,15 +1165,10 @@ fn backward_smooth<E: Emission>(
 }
 
 /// Flushes the stream: commits the Viterbi tail by backtracking from the
-/// best final state and emits the remaining smoothed rows.
-pub(crate) fn flush_stream<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    backend: InferenceBackend,
-    epoch: u64,
-    ws: &mut StreamWorkspace,
-    scratch: &mut StreamScratch,
-) -> f64 {
+/// best final state. Returns the joint log-score of the committed path.
+/// Emits no smoothed rows: [`StreamingDecoder::flush`] runs the smoothing
+/// tail itself.
+pub(crate) fn flush_stream(ws: &mut StreamWorkspace, scratch: &mut StreamScratch) -> f64 {
     assert!(
         !ws.finished,
         "StreamingDecoder::flush called twice; call reset() to start a new stream"
@@ -1413,26 +1197,31 @@ pub(crate) fn flush_stream<E: Emission>(
         commit_chain(ws, scratch, last, jbest);
         ws.base = last + 1;
     }
-    let score = ws.viterbi_log + best_val.ln();
+    ws.viterbi_log + best_val.ln()
+}
 
-    // Remaining smoothed rows (everything not yet emitted by block passes).
+/// Emits the smoothed rows a flush still owes (everything the block passes
+/// have not emitted, each conditioned on the full prefix) into
+/// `scratch.smoothed`, after [`flush_stream`].
+fn flush_smoothing<E: Emission>(
+    model: &Hmm<E>,
+    lag: usize,
+    backend: InferenceBackend,
+    ws: &mut StreamWorkspace,
+    scratch: &mut StreamScratch,
+) {
+    let Some(last) = ws.t.checked_sub(1) else {
+        return;
+    };
     if let Some(SmoothAction::Block {
         from,
         downto,
         emit_upto,
     }) = flush_smoothing_action(lag, last, ws.smoothed_upto)
     {
-        // A flush through a leased scratch may land after another session's
-        // pushes evicted this stream's compiled transitions: re-prepare.
-        if let InferenceBackend::Sparse(params) = backend {
-            scratch
-                .trans
-                .prepare_sparse(model.transition(), epoch, params);
-        }
         backward_smooth(model, backend, ws, scratch, from, downto, emit_upto);
         ws.smoothed_upto = ws.t;
     }
-    score
 }
 
 /// Metric handles of one [`StreamingDecoder`]. Registered once at
@@ -1594,7 +1383,8 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
         // Epoch 0: the borrowed model cannot change under a standalone
         // decoder, so the scratch's transition cache never goes stale.
         let span = self.metrics.push_ns.span();
-        let smoothed_rows = push_token(
+        let t = self.ws.t;
+        push_token(
             self.model,
             self.lag,
             self.backend,
@@ -1602,6 +1392,14 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
             &mut self.ws,
             &mut self.scratch,
             obs,
+        );
+        let smoothed_rows = apply_smoothing(
+            self.model,
+            self.lag,
+            self.backend,
+            &mut self.ws,
+            &mut self.scratch,
+            t,
         );
         drop(span);
         self.metrics.pushes.inc();
@@ -1611,10 +1409,10 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
             .add(self.scratch.committed.len() as u64);
         let k = self.ws.num_states;
         StepOutput {
-            t: self.ws.t - 1,
+            t,
             num_states: k,
             log_likelihood: self.ws.log_likelihood,
-            filtered: self.ws.alpha_row(self.ws.t - 1),
+            filtered: self.ws.alpha_row(t),
             committed: &self.scratch.committed,
             committed_start: self.scratch.committed_start,
             smoothed: &self.scratch.smoothed[..self.scratch.smoothed_len * k],
@@ -1627,11 +1425,11 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
     /// emits the remaining smoothed rows. After `flush`, call
     /// [`StreamingDecoder::reset`] before pushing again.
     pub fn flush(&mut self) -> FlushOutput<'_> {
-        let score = flush_stream(
+        let score = flush_stream(&mut self.ws, &mut self.scratch);
+        flush_smoothing(
             self.model,
             self.lag,
             self.backend,
-            0,
             &mut self.ws,
             &mut self.scratch,
         );
@@ -1657,22 +1455,6 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhmm_hmm::emission::DiscreteEmission;
-    use dhmm_linalg::Matrix;
-
-    fn model() -> Hmm<DiscreteEmission> {
-        let emission = DiscreteEmission::new(
-            Matrix::from_rows(&[vec![0.7, 0.3], vec![0.4, 0.6], vec![0.1, 0.9]]).unwrap(),
-        )
-        .unwrap();
-        let transition = Matrix::from_rows(&[
-            vec![0.6, 0.3, 0.1],
-            vec![0.2, 0.5, 0.3],
-            vec![0.3, 0.2, 0.5],
-        ])
-        .unwrap();
-        Hmm::new(vec![0.5, 0.3, 0.2], transition, emission).unwrap()
-    }
 
     /// The single-sourced window math: lag 0 copies every row as it
     /// streams; lag > 0 fires exclusively on the exact `2L`-step boundary,
@@ -1755,114 +1537,5 @@ mod tests {
         );
         // Everything already emitted (flush right after a lag-0 copy).
         assert_eq!(flush_smoothing_action(1, 4, 5), None);
-    }
-
-    /// Drives three sessions through the lockstep stage/kernel/finish loop
-    /// by hand and routes every due smoothing block through the batched
-    /// panel pass, asserting the γ rows, log-likelihoods and window
-    /// positions are bit-identical to per-session [`StreamingDecoder`]s —
-    /// under both the dense backend (shared GEMM β step) and the sparse
-    /// backend (shared CSR walk over a genuinely pruned Ã). This is the
-    /// only place the batched rows themselves are pinned — the pool
-    /// discards smoothed posteriors, so pool-level parity cannot see them.
-    #[test]
-    fn batched_smoothing_block_is_bit_identical_to_the_scalar_pass() {
-        // threshold 0.15 prunes the 0.1 entries of the hand-built matrix,
-        // so the sparse axis exercises a CSR panel with real structural
-        // holes, not a dense matrix in CSR clothing.
-        let params = SparseParams::threshold(0.15).with_beam(0.05);
-        for backend in [InferenceBackend::Scaled, InferenceBackend::Sparse(params)] {
-            batched_block_parity(backend);
-        }
-    }
-
-    fn batched_block_parity(backend: InferenceBackend) {
-        let m = model();
-        let lag = 2usize;
-        let k = m.num_states();
-        let seqs: [Vec<usize>; 3] = [
-            vec![0, 1, 1, 0, 1, 0, 0, 1],
-            vec![1, 0, 0, 1, 1, 1, 0, 0],
-            vec![1, 1, 0, 0, 0, 1, 1, 0],
-        ];
-
-        let config = StreamConfig::default().with_lag(lag).with_backend(backend);
-        let mut reference: Vec<StreamingDecoder<'_, DiscreteEmission>> = seqs
-            .iter()
-            .map(|_| StreamingDecoder::with_config(&m, config.clone()).unwrap())
-            .collect();
-
-        let mut wss: Vec<StreamWorkspace> = seqs.iter().map(|_| StreamWorkspace::new()).collect();
-        let mut scratch = StreamScratch::new();
-        let mut panel = BatchPanel::new();
-        let mut smooth_panel = SmoothPanel::new();
-        panel.ensure(seqs.len(), k);
-        let sparse = matches!(backend, InferenceBackend::Sparse(_));
-        if let InferenceBackend::Sparse(p) = backend {
-            scratch.trans.prepare_sparse(m.transition(), 0, p);
-        } else {
-            scratch.trans.prepare_dense(m.transition(), 0);
-        }
-
-        let mut block_steps = 0usize;
-        for t in 0..seqs[0].len() {
-            for (s, ws) in wss.iter_mut().enumerate() {
-                lockstep_stage(&m, lag, ws, &mut panel, s, &seqs[s][t]);
-            }
-            if sparse {
-                lockstep_kernel_sparse(&mut panel, scratch.trans.csr.transposed());
-            } else {
-                lockstep_kernel(&mut panel, &scratch.trans.at);
-            }
-            let mut due = 0usize;
-            for (s, ws) in wss.iter_mut().enumerate() {
-                let fin = lockstep_finish(&m, lag, backend, ws, &mut scratch, &mut panel, s);
-                assert_eq!(fin.smoothed_rows, 0, "lag > 0 never copies inline");
-                if fin.block_due {
-                    due += 1;
-                }
-            }
-            // Reference rows emitted by the scalar path at this same step.
-            let want: Vec<Vec<f64>> = reference
-                .iter_mut()
-                .zip(&seqs)
-                .map(|(dec, seq)| dec.push(&seq[t]).smoothed.to_vec())
-                .collect();
-
-            if due > 0 {
-                // Same start, same lag: the whole group is due together.
-                assert_eq!(due, seqs.len());
-                block_steps += 1;
-                let csr = if sparse {
-                    Some(scratch.trans.csr.forward())
-                } else {
-                    None
-                };
-                let mut group: Vec<&mut StreamWorkspace> = wss.iter_mut().collect();
-                let rows = lockstep_smooth_block(&m, lag, csr, &mut group, &mut smooth_panel);
-                assert_eq!(rows, seqs.len() * lag);
-                for (s, want_rows) in want.iter().enumerate() {
-                    let got = &smooth_panel.gamma[s * lag * k..(s * lag + lag) * k];
-                    assert_eq!(got.len(), want_rows.len());
-                    for (g, w) in got.iter().zip(want_rows) {
-                        assert_eq!(g.to_bits(), w.to_bits());
-                    }
-                }
-            } else {
-                for want_rows in &want {
-                    assert!(want_rows.is_empty());
-                }
-            }
-        }
-        // 8 tokens at lag 2: blocks at t = 3, 5, 7.
-        assert_eq!(block_steps, 3);
-
-        for (ws, dec) in wss.iter().zip(&reference) {
-            assert_eq!(ws.log_likelihood.to_bits(), dec.ws.log_likelihood.to_bits());
-            assert_eq!(ws.viterbi_log.to_bits(), dec.ws.viterbi_log.to_bits());
-            assert_eq!(ws.smoothed_upto, dec.ws.smoothed_upto);
-            assert_eq!(ws.t, dec.ws.t);
-            assert_eq!(ws.base, dec.ws.base);
-        }
     }
 }

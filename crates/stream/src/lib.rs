@@ -27,7 +27,10 @@
 //!   shallower queues run dry: one fused kernel pass over the shared
 //!   transition matrix per step advances every session's filter and
 //!   Viterbi rows together, instead of S separate k² loops, with output
-//!   bit-identical to the per-session path.
+//!   bit-identical to the per-session path. A pool serves labels and
+//!   log-likelihoods only: its ticks run the filter, the Viterbi step and
+//!   the commit rules, never fixed-lag smoothing, so `lag` bounds commit
+//!   latency there. Posteriors come from [`StreamingDecoder`].
 //!
 //! With `lag ≥ T` the streamed output is exactly the offline decode: the
 //! Viterbi path equals `viterbi_scaled`'s and the filtered/smoothed
@@ -47,7 +50,7 @@ pub mod workspace;
 pub use decoder::{FlushOutput, StepOutput, StreamConfig, StreamingDecoder};
 pub use error::StreamError;
 pub use session::{SessionId, SessionPool, TickReport};
-pub use workspace::{BatchPanel, SmoothPanel, StreamScratch, StreamWorkspace};
+pub use workspace::{BatchPanel, StreamScratch, StreamWorkspace};
 
 // Re-exported so `dhmm_stream` is self-sufficient for callers configuring a
 // stream (the knobs are defined by `dhmm_hmm` / `dhmm_runtime` /

@@ -8,9 +8,12 @@
 //! deterministic contiguous bands. The token order *within* a session is
 //! always its queue order, and sessions share no state, so a tick is
 //! **bit-identical across worker policies and lockstep modes** — `Serial`,
-//! `Threads(n)` and `Auto` produce the same labels, posteriors and
-//! log-likelihoods to the last bit, pinned by
-//! `tests/session_determinism.rs`.
+//! `Threads(n)` and `Auto` produce the same labels and log-likelihoods to
+//! the last bit, pinned by `tests/session_determinism.rs`.
+//!
+//! A pool serves labels, their offsets and log-likelihoods; it computes no
+//! smoothed posteriors (the configured lag bounds commit latency only). Use
+//! a [`crate::StreamingDecoder`] for fixed-lag posteriors.
 //!
 //! # Epoch-versioned models
 //!
@@ -48,11 +51,11 @@
 //! the buffers are grow-only).
 
 use crate::decoder::{
-    flush_stream, lockstep_finish, lockstep_kernel, lockstep_kernel_sparse, lockstep_smooth_block,
-    lockstep_smooth_scalar, lockstep_stage, push_token, ring_window,
+    flush_stream, lockstep_finish, lockstep_kernel, lockstep_kernel_sparse, lockstep_stage,
+    push_token, ring_window,
 };
 use crate::error::StreamError;
-use crate::workspace::{BatchPanel, SmoothPanel, StreamScratch, StreamWorkspace};
+use crate::workspace::{BatchPanel, StreamScratch, StreamWorkspace};
 use crate::StreamConfig;
 use dhmm_hmm::emission::Emission;
 use dhmm_hmm::model::Hmm;
@@ -162,21 +165,12 @@ fn rebind_slot<E: Emission>(
     slot: &mut Slot<E>,
     model: &Arc<Hmm<E>>,
     epoch: u64,
-    lag: usize,
-    backend: InferenceBackend,
     scratch: &mut StreamScratch,
 ) {
     if slot.ws.tokens() > 0 && !slot.ws.is_finished() {
-        // The tail commits under the *old* model/epoch — the epoch keys the
-        // scratch's compiled-transition cache to the right matrix.
-        flush_stream(
-            &*slot.model,
-            lag,
-            backend,
-            slot.epoch,
-            &mut slot.ws,
-            scratch,
-        );
+        // The tail commits under the *old* model: the backtrack reads only
+        // the session's own ψ ring, never the transition matrix.
+        flush_stream(&mut slot.ws, scratch);
         slot.out.extend_from_slice(&scratch.committed);
     }
     slot.ll_carry += slot.ws.log_likelihood();
@@ -200,19 +194,11 @@ fn rebind_slot<E: Emission>(
 /// whole tick and need not be at the same stream time `t` — each step reads
 /// and writes only per-session rings. Once fewer than
 /// [`LOCKSTEP_MIN_GROUP`] sessions remain, they finish their remaining
-/// tokens through the scalar step.
-///
-/// Fixed-lag smoothing is handled per *step*, not per session: every
-/// session of the prefix whose `2L` window boundary fired on this step
-/// (reported deferred by the finish pass) is **due-aligned** — its block has
-/// the exact same `2L`-step shape regardless of absolute `t` — so all due
-/// sessions run one batched panel pass over the shared transition matrix
-/// (dense GEMM step or shared CSR walk, [`lockstep_smooth_block`]) instead
-/// of S scalar backward passes. Lone due sessions (staggered creation,
-/// post-hot-swap phase offsets) take the scalar tail, bit-identically.
+/// tokens through the scalar step. No step smooths: the pool emits labels
+/// only.
 ///
 /// Every pass is serial, so lockstep adds no policy-dependence of its own.
-/// Records the token and smoothing-row split in `report`.
+/// Records the lockstep token count in `report`.
 #[allow(clippy::too_many_arguments)]
 fn lockstep_group<E: Emission>(
     model: &Arc<Hmm<E>>,
@@ -222,7 +208,6 @@ fn lockstep_group<E: Emission>(
     clock: u64,
     group: &mut [&mut Slot<E>],
     panel: &mut BatchPanel,
-    smooth_panel: &mut SmoothPanel,
     scratch: &mut StreamScratch,
     report: &mut TickReport,
 ) {
@@ -241,7 +226,6 @@ fn lockstep_group<E: Emission>(
     for slot in group.iter_mut() {
         slot.last_active = clock;
     }
-    let mut due: Vec<usize> = Vec::with_capacity(group.len());
     let mut width = group.len();
     let mut d = 0usize;
     loop {
@@ -261,34 +245,10 @@ fn lockstep_group<E: Emission>(
         } else {
             lockstep_kernel(panel, &scratch.trans.at);
         }
-        due.clear();
         for (s, slot) in prefix.iter_mut().enumerate() {
             scratch.clear_outputs();
-            let fin = lockstep_finish(&*slot.model, lag, backend, &mut slot.ws, scratch, panel, s);
+            lockstep_finish(&*slot.model, lag, backend, &mut slot.ws, scratch, panel, s);
             slot.out.extend_from_slice(&scratch.committed);
-            report.smoothing_scalar_tokens += fin.smoothed_rows;
-            if fin.block_due {
-                due.push(s);
-            }
-        }
-        if due.len() >= LOCKSTEP_MIN_GROUP {
-            let mut block: Vec<&mut StreamWorkspace> = Vec::with_capacity(due.len());
-            let mut next = due.iter().copied().peekable();
-            for (s, slot) in prefix.iter_mut().enumerate() {
-                if next.peek() == Some(&s) {
-                    block.push(&mut slot.ws);
-                    next.next();
-                }
-            }
-            let csr = sparse.then(|| scratch.trans.csr.forward());
-            report.smoothing_batched_tokens +=
-                lockstep_smooth_block(model, lag, csr, &mut block, smooth_panel);
-        } else {
-            for &s in &due {
-                let slot = &mut *prefix[s];
-                report.smoothing_scalar_tokens +=
-                    lockstep_smooth_scalar(&*slot.model, lag, backend, &mut slot.ws, scratch);
-            }
         }
         report.lockstep_tokens += width;
         d += 1;
@@ -297,7 +257,7 @@ fn lockstep_group<E: Emission>(
     // remaining tokens on the scalar step.
     for slot in group[..width].iter_mut() {
         for obs in &slot.pending[d..] {
-            report.smoothing_scalar_tokens += push_token(
+            push_token(
                 &slot.model,
                 lag,
                 backend,
@@ -331,13 +291,10 @@ pub struct TickReport {
     /// deepest session's tokens past the second-deepest depth (all of a
     /// lone pending session's tokens), or every token with lockstep off.
     pub scalar_tokens: usize,
-    /// Smoothed posterior rows emitted through the batched panel pass this
-    /// tick (sessions of one panel step whose `2L` window boundary fired on
-    /// that step, under either backend).
+    /// Always 0: a pool emits no smoothed posteriors (only a standalone
+    /// [`crate::StreamingDecoder`] smooths). Kept for API compatibility.
     pub smoothing_batched_tokens: usize,
-    /// Smoothed posterior rows emitted through the per-session scalar pass
-    /// this tick (scalar-step tokens, lag-0 copies, and lone due sessions
-    /// of a panel step).
+    /// Always 0, like [`TickReport::smoothing_batched_tokens`].
     pub smoothing_scalar_tokens: usize,
 }
 
@@ -372,10 +329,6 @@ struct PoolMetrics {
     lockstep_tokens: Counter,
     /// `dhmm_stream_scalar_tokens_total` (live).
     scalar_tokens: Counter,
-    /// `dhmm_stream_smoothing_batched_rows_total` (live).
-    smoothing_batched: Counter,
-    /// `dhmm_stream_smoothing_scalar_rows_total` (live).
-    smoothing_scalar: Counter,
     /// `dhmm_stream_evicted_sessions_total` (live).
     evicted: Counter,
 }
@@ -431,16 +384,6 @@ impl PoolMetrics {
                 &[],
                 "Tokens advanced through the per-session scalar path.",
             ),
-            smoothing_batched: sink.live_counter(
-                "dhmm_stream_smoothing_batched_rows_total",
-                &[],
-                "Smoothed posterior rows emitted through the batched panel pass.",
-            ),
-            smoothing_scalar: sink.live_counter(
-                "dhmm_stream_smoothing_scalar_rows_total",
-                &[],
-                "Smoothed posterior rows emitted through the per-session scalar pass.",
-            ),
             evicted: sink.live_counter(
                 "dhmm_stream_evicted_sessions_total",
                 &[],
@@ -466,13 +409,11 @@ pub struct SessionPool<E: Emission> {
     scratch: LeasePool<StreamScratch>,
     /// Shared structure-of-arrays staging for lockstep groups (grow-only).
     panel: BatchPanel,
-    /// Shared staging for batched smoothing blocks (grow-only).
-    smooth_panel: SmoothPanel,
     /// Logical clock: advances once per [`SessionPool::tick`]; the idle
     /// reference for eviction.
     clock: u64,
     /// Metric handles; the lifetime counters (evicted, lockstep/scalar
-    /// tokens, smoothing split) live here as shared atomics so the
+    /// tokens) live here as shared atomics so the
     /// accessors, a serving front-end's `stats` reply and the metrics
     /// exposition all read the same storage.
     metrics: PoolMetrics,
@@ -510,7 +451,6 @@ impl<E: Emission> SessionPool<E> {
             free: Vec::new(),
             scratch: LeasePool::new(),
             panel: BatchPanel::new(),
-            smooth_panel: SmoothPanel::new(),
             clock: 0,
             metrics: PoolMetrics::new(&config.telemetry),
         })
@@ -577,21 +517,6 @@ impl<E: Emission> SessionPool<E> {
     /// either counter).
     pub fn scalar_tokens_total(&self) -> u64 {
         self.metrics.scalar_tokens.value()
-    }
-
-    /// Smoothed posterior rows emitted through the batched smoothing panel
-    /// over the pool's lifetime — the numerator of the batched-smoothing
-    /// hit rate, mirroring [`SessionPool::lockstep_tokens_total`].
-    pub fn smoothing_batched_total(&self) -> u64 {
-        self.metrics.smoothing_batched.value()
-    }
-
-    /// Smoothed posterior rows emitted through the per-session scalar
-    /// smoothing path over the pool's lifetime (scalar-step tokens, lag-0
-    /// copies, lone due sessions; flush-drained rows are not counted by
-    /// either counter, like the token split).
-    pub fn smoothing_scalar_total(&self) -> u64 {
-        self.metrics.smoothing_scalar.value()
     }
 
     /// Number of currently open sessions.
@@ -808,23 +733,16 @@ impl<E: Emission> SessionPool<E> {
     /// the scalar step, fanned out in deterministic contiguous bands over
     /// the configured worker policy.
     ///
-    /// Fixed-lag smoothing inside the group is batched per *step*: prefix
-    /// sessions whose `2L` window boundary fires on the same step are
-    /// **due-aligned** (the block shape depends only on the lag, never on
-    /// absolute stream time, so staggered-start and post-hot-swap sessions
-    /// co-batch whenever their boundaries coincide) and share one
-    /// panelized backward pass under either backend; lone due sessions take
-    /// the scalar tail. The split is reported by
-    /// [`TickReport::smoothing_batched_tokens`] /
-    /// [`TickReport::smoothing_scalar_tokens`].
+    /// A tick runs the filter, Viterbi and commit rules only — no fixed-lag
+    /// smoothing, since the pool returns no posteriors.
     ///
     /// All paths are **bit-identical**: the fused kernels accumulate each
     /// filter entry in the scalar step's exact operation order (ascending
     /// predecessor index; the scalar loop's zero-predecessor skip only
     /// drops exact `+0.0` terms), keep the scalar first-occurrence argmax,
-    /// and the commit/smoothing tail reuses the same helpers. So are all
-    /// worker policies — `Serial`, `Threads(n)` and `Auto` produce the same
-    /// labels, posteriors and log-likelihoods to the last bit (pinned by
+    /// and the commit tail reuses the same helpers. So are all worker
+    /// policies — `Serial`, `Threads(n)` and `Auto` produce the same labels
+    /// and log-likelihoods to the last bit (pinned by
     /// `tests/session_determinism.rs`).
     pub fn tick(&mut self) -> TickReport
     where
@@ -878,7 +796,7 @@ impl<E: Emission> SessionPool<E> {
             // result), and it puts every session on the group's epoch.
             for slot in active.iter_mut() {
                 if slot.epoch != epoch {
-                    rebind_slot(slot, &model, epoch, lag, backend, scratch);
+                    rebind_slot(slot, &model, epoch, scratch);
                 }
             }
             // Deepest first, so every panel step's sessions are a prefix.
@@ -894,7 +812,6 @@ impl<E: Emission> SessionPool<E> {
                 clock,
                 &mut active,
                 &mut self.panel,
-                &mut self.smooth_panel,
                 scratch,
                 &mut report,
             );
@@ -916,13 +833,13 @@ impl<E: Emission> SessionPool<E> {
             exec.for_each_band_with(&mut active, 1, scratches, |_range, band, scratch| {
                 for slot in band.iter_mut() {
                     if slot.epoch != epoch {
-                        rebind_slot(slot, model_ref, epoch, lag, backend, scratch);
+                        rebind_slot(slot, model_ref, epoch, scratch);
                     }
                     if !slot.pending.is_empty() {
                         slot.last_active = clock;
                     }
                     for obs in &slot.pending {
-                        let rows = push_token(
+                        push_token(
                             &slot.model,
                             lag,
                             backend,
@@ -931,30 +848,17 @@ impl<E: Emission> SessionPool<E> {
                             scratch,
                             obs,
                         );
-                        scratch.tick_smoothing_rows += rows as u64;
                         slot.out.extend_from_slice(&scratch.committed);
                     }
                     slot.pending.clear();
                 }
             });
-            // Drain the per-band smoothing-row counters (each band owned
-            // its scratch, so the sum is policy-independent).
-            for sc in self.scratch.ensure(num_ranges).iter_mut() {
-                report.smoothing_scalar_tokens +=
-                    std::mem::take(&mut sc.tick_smoothing_rows) as usize;
-            }
         }
         self.metrics.rebinds.add(report.rebound as u64);
         self.metrics
             .lockstep_tokens
             .add(report.lockstep_tokens as u64);
         self.metrics.scalar_tokens.add(report.scalar_tokens as u64);
-        self.metrics
-            .smoothing_batched
-            .add(report.smoothing_batched_tokens as u64);
-        self.metrics
-            .smoothing_scalar
-            .add(report.smoothing_scalar_tokens as u64);
         if self.metrics.bound_max.is_live() {
             // Pool-level aggregates instead of a per-session label: bounded
             // metric cardinality regardless of session churn, refreshed once
@@ -990,7 +894,7 @@ impl<E: Emission> SessionPool<E> {
         let scratch = &mut self.scratch.ensure(1)[0];
         let s = &mut self.slots[slot];
         if s.epoch != epoch {
-            rebind_slot(s, &model, epoch, lag, backend, scratch);
+            rebind_slot(s, &model, epoch, scratch);
         }
         for i in 0..s.pending.len() {
             push_token(
@@ -1005,7 +909,7 @@ impl<E: Emission> SessionPool<E> {
             s.out.extend_from_slice(&scratch.committed);
         }
         s.pending.clear();
-        flush_stream(&*s.model, lag, backend, s.epoch, &mut s.ws, scratch);
+        flush_stream(&mut s.ws, scratch);
         s.out.extend_from_slice(&scratch.committed);
         s.flushed = true;
         s.last_active = clock;

@@ -266,78 +266,6 @@ impl BatchPanel {
     }
 }
 
-/// Structure-of-arrays staging for one **batched smoothing block**: the
-/// due-aligned subset of a lockstep group — sessions whose `2L` smoothing
-/// window boundary fired on the same lockstep step — running their backward
-/// recursions together through one shared panel pass over the transition
-/// matrix (`dhmm_hmm::scaled::beta_panel_step`).
-///
-/// The weight and β panels use the same tile-major layout as [`BatchPanel`]
-/// (entry `(s, j)` at `(s / LANES)·k·LANES + j·LANES + s % LANES`, pad
-/// lanes dead); the two β panels roll with the same `(from − τ) % 2` parity
-/// as the scalar pass's two-row scratch. The emitted γ rows land in
-/// `gamma`, per-session row-major (`lag` rows of `k` per session) — the
-/// batched analogue of `StreamScratch::smoothed`.
-///
-/// One panel lives in a [`crate::SessionPool`] next to its [`BatchPanel`];
-/// all buffers reshape in place with grow-only capacity.
-#[derive(Debug, Clone, Default)]
-pub struct SmoothPanel {
-    /// Sessions `S` of the last `ensure`.
-    pub(crate) sessions: usize,
-    /// `S` rounded up to whole [`LANES`] tiles.
-    pub(crate) width: usize,
-    /// Number of states `k` of the last `ensure`.
-    pub(crate) k: usize,
-    /// Backward weight rows `w[s][j] = e(τ+1)[j] · β(τ+1)[j]`, tile-major.
-    pub(crate) w_t: Vec<f64>,
-    /// Two rolling β panels, tile-major (parity `(from − τ) % 2`).
-    pub(crate) beta: [Vec<f64>; 2],
-    /// Emitted smoothed rows, per-session row-major: session `s`'s row `r`
-    /// (time `downto_s + r`) at `(s · lag + r) · k ..`.
-    pub(crate) gamma: Vec<f64>,
-    /// A `k`-length row of zeros standing in for the emission row of pad
-    /// lanes, so the tile-major weight build runs one uniform 8-lane loop
-    /// (pad weights come out 0, keeping the dead lanes dead).
-    pub(crate) zero_row: Vec<f64>,
-}
-
-impl SmoothPanel {
-    /// Creates an empty panel; buffers are sized by [`SmoothPanel::ensure`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Grows every buffer for an `S`-session, `k`-state, lag-`L` block.
-    pub(crate) fn ensure(&mut self, sessions: usize, k: usize, lag: usize) {
-        let width = sessions.next_multiple_of(LANES);
-        let kw = k.checked_mul(width).expect("smooth panel overflow");
-        if self.w_t.len() < kw {
-            self.w_t.resize(kw, 0.0);
-            self.beta[0].resize(kw, 0.0);
-            self.beta[1].resize(kw, 0.0);
-        }
-        let gk = sessions
-            .checked_mul(lag)
-            .and_then(|n| n.checked_mul(k))
-            .expect("smooth panel overflow");
-        if self.gamma.len() < gk {
-            self.gamma.resize(gk, 0.0);
-        }
-        if self.zero_row.len() < k {
-            self.zero_row.resize(k, 0.0);
-        }
-        self.sessions = sessions;
-        self.width = width;
-        self.k = k;
-    }
-
-    /// Active `(sessions, num_states)` shape.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.sessions, self.k)
-    }
-}
-
 /// Per-scratch cache of the transition matrix in the layouts the scalar
 /// streaming step consumes: the dense transpose `Aᵀ` (predecessors of each
 /// state as one contiguous row, which is what the scalar Viterbi inner loop
@@ -432,12 +360,6 @@ pub struct StreamScratch {
     pub(crate) set_cur: Vec<bool>,
     /// Second membership buffer (swapped with `set_cur` per level).
     pub(crate) set_next: Vec<bool>,
-    /// Smoothed rows emitted through this scratch during the *current* pool
-    /// tick's scalar bands — accumulated per worker inside the parallel
-    /// lockstep-off pass (each band owns its scratch, so no synchronization)
-    /// and drained into the tick report afterwards. Always 0 outside a
-    /// tick.
-    pub(crate) tick_smoothing_rows: u64,
 }
 
 impl StreamScratch {

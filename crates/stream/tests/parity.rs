@@ -197,10 +197,9 @@ proptest! {
     /// the every-push block boundary, and multi-step windows spanning
     /// ticks) with both streaming backends (the dense and the CSR lockstep
     /// kernels) and staggered session starts: two sessions join mid-stream,
-    /// so lockstep groups mix sessions at different absolute `t` and the
-    /// batched smoothing path must co-schedule due-aligned blocks that are
-    /// *not* t-aligned. Staggered lengths force every tick shape: full
-    /// groups, group + stragglers, scalar-only tails.
+    /// so lockstep groups mix sessions at different absolute `t`. Staggered
+    /// lengths force every tick shape: full groups, group + stragglers,
+    /// scalar-only tails.
     #[test]
     fn lockstep_pool_equals_the_scalar_decoder(
         k in 2usize..5, v in 2usize..6, seed in 0u64..300, lag_pick in 0usize..3,

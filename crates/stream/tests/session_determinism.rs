@@ -175,7 +175,7 @@ fn auto_policy_matches_the_serial_oracle() {
 }
 
 /// Lag of the ragged-depth test. Chunk sizes are drawn from `1..=2L+3`, so
-/// smoothing-window boundaries fall at every panel step.
+/// a tick may push fewer or more tokens than the `2L` ring holds.
 const RAGGED_LAG: usize = 4;
 /// More than two 8-lane tiles, so the shrinking panel crosses tile edges.
 const RAGGED_SESSIONS: usize = 19;

@@ -3,11 +3,17 @@
 //! counters accumulate. Label correctness is pinned elsewhere
 //! (`session_determinism.rs`, `parity.rs`); this file is only about the
 //! numbers operators read off `stats`.
+//!
+//! Every test runs under both streaming backends and lags 0, 1 and 8: the
+//! token split depends on queue depths alone, and the smoothing split is 0
+//! in every case because a pool emits no smoothed posteriors.
 
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::Hmm;
 use dhmm_linalg::Matrix;
-use dhmm_stream::{Parallelism, SessionPool, StreamConfig, TickReport};
+use dhmm_stream::{
+    InferenceBackend, Parallelism, SessionPool, SparseParams, StreamConfig, TickReport,
+};
 use std::sync::Arc;
 
 fn model() -> Arc<Hmm<DiscreteEmission>> {
@@ -18,11 +24,21 @@ fn model() -> Arc<Hmm<DiscreteEmission>> {
     Arc::new(Hmm::new(vec![0.5, 0.5], transition, emission).unwrap())
 }
 
-fn pool(lockstep: bool) -> SessionPool<DiscreteEmission> {
+/// Every (backend, lag) pair the tests run under.
+fn cases() -> Vec<(InferenceBackend, usize)> {
+    let sparse = InferenceBackend::Sparse(SparseParams::threshold(0.05).with_beam(0.02));
+    [InferenceBackend::Scaled, sparse]
+        .into_iter()
+        .flat_map(|backend| [0usize, 1, 8].map(|lag| (backend, lag)))
+        .collect()
+}
+
+fn pool(lockstep: bool, backend: InferenceBackend, lag: usize) -> SessionPool<DiscreteEmission> {
     SessionPool::with_config(
         model(),
         StreamConfig::default()
-            .with_lag(2)
+            .with_lag(lag)
+            .with_backend(backend)
             .with_parallelism(Parallelism::Serial)
             .with_lockstep(lockstep),
     )
@@ -31,7 +47,14 @@ fn pool(lockstep: bool) -> SessionPool<DiscreteEmission> {
 
 #[test]
 fn report_counts_active_flushed_idle_and_stale_epoch_sessions() {
-    let mut pool = pool(true);
+    for (backend, lag) in cases() {
+        counts_active_flushed_idle_and_stale_epoch_sessions(backend, lag);
+    }
+}
+
+fn counts_active_flushed_idle_and_stale_epoch_sessions(backend: InferenceBackend, lag: usize) {
+    let case = format!("backend={backend:?} lag={lag}");
+    let mut pool = pool(true, backend, lag);
     let busy_a = pool.create();
     let busy_b = pool.create();
     let flushed = pool.create();
@@ -57,21 +80,27 @@ fn report_counts_active_flushed_idle_and_stale_epoch_sessions() {
             // is left alone and takes the scalar step.
             lockstep_tokens: 6,
             scalar_tokens: 1,
-            // At lag 2 a smoothing block fires on the 4th token: only
-            // busy_b gets that far, on its lone scalar token, emitting its
-            // oldest 2 rows on the scalar path.
+            // No smoothing runs in a pool.
             smoothing_batched_tokens: 0,
-            smoothing_scalar_tokens: 2,
-        }
+            smoothing_scalar_tokens: 0,
+        },
+        "{case}"
     );
 
     // Everyone is current now; an empty tick reports all zeros.
-    assert_eq!(pool.tick(), TickReport::default());
+    assert_eq!(pool.tick(), TickReport::default(), "{case}");
 }
 
 #[test]
 fn token_split_tracks_group_membership_and_accumulates_on_the_pool() {
-    let mut pool = pool(true);
+    for (backend, lag) in cases() {
+        token_split_tracks_group_membership(backend, lag);
+    }
+}
+
+fn token_split_tracks_group_membership(backend: InferenceBackend, lag: usize) {
+    let case = format!("backend={backend:?} lag={lag}");
+    let mut pool = pool(true, backend, lag);
     assert!(pool.lockstep_enabled());
     let a = pool.create();
     let b = pool.create();
@@ -84,39 +113,38 @@ fn token_split_tracks_group_membership_and_accumulates_on_the_pool() {
     pool.push_many(b, [1usize, 0, 0, 1, 0]).unwrap();
     pool.push_many(c, [0usize, 0, 1]).unwrap();
     let report = pool.tick();
-    assert_eq!(report.sessions, 3);
-    assert_eq!(report.tokens, 13);
-    assert_eq!(report.lockstep_tokens, 13);
-    assert_eq!(report.scalar_tokens, 0);
-    // a and b hit their lag-2 window boundary on the same lockstep step,
-    // so their blocks run as one batched panel (2 rows each); c never
-    // accumulates the 4 tokens a block needs.
-    assert_eq!(report.smoothing_batched_tokens, 4);
-    assert_eq!(report.smoothing_scalar_tokens, 0);
+    assert_eq!(report.sessions, 3, "{case}");
+    assert_eq!(report.tokens, 13, "{case}");
+    assert_eq!(report.lockstep_tokens, 13, "{case}");
+    assert_eq!(report.scalar_tokens, 0, "{case}");
+    assert_eq!(report.smoothing_batched_tokens, 0, "{case}");
+    assert_eq!(report.smoothing_scalar_tokens, 0, "{case}");
 
     // All three at the same depth: one group, nothing scalar.
     for id in [a, b, c] {
         pool.push_many(id, [1usize, 0]).unwrap();
     }
     let report = pool.tick();
-    assert_eq!(report.lockstep_tokens, 6);
-    assert_eq!(report.scalar_tokens, 0);
-    // Due-alignment is relative to each session's own window, not absolute
-    // stream time: a/b (at t=5) and c (at t=3) all fire on the group's
-    // first step and co-batch despite staggered depths.
-    assert_eq!(report.smoothing_batched_tokens, 6);
-    assert_eq!(report.smoothing_scalar_tokens, 0);
+    assert_eq!(report.lockstep_tokens, 6, "{case}");
+    assert_eq!(report.scalar_tokens, 0, "{case}");
+    assert_eq!(report.smoothing_batched_tokens, 0, "{case}");
+    assert_eq!(report.smoothing_scalar_tokens, 0, "{case}");
 
     // The pool-lifetime counters are the running sums of the reports.
-    assert_eq!(pool.lockstep_tokens_total(), 19);
-    assert_eq!(pool.scalar_tokens_total(), 0);
-    assert_eq!(pool.smoothing_batched_total(), 10);
-    assert_eq!(pool.smoothing_scalar_total(), 0);
+    assert_eq!(pool.lockstep_tokens_total(), 19, "{case}");
+    assert_eq!(pool.scalar_tokens_total(), 0, "{case}");
 }
 
 #[test]
 fn lockstep_disabled_routes_every_token_through_the_scalar_path() {
-    let mut pool = pool(false);
+    for (backend, lag) in cases() {
+        lockstep_disabled_routes_every_token_through_scalar(backend, lag);
+    }
+}
+
+fn lockstep_disabled_routes_every_token_through_scalar(backend: InferenceBackend, lag: usize) {
+    let case = format!("backend={backend:?} lag={lag}");
+    let mut pool = pool(false, backend, lag);
     assert!(!pool.lockstep_enabled());
     let a = pool.create();
     let b = pool.create();
@@ -124,12 +152,12 @@ fn lockstep_disabled_routes_every_token_through_the_scalar_path() {
     pool.push_many(b, [1usize, 0, 1]).unwrap();
 
     let report = pool.tick();
-    assert_eq!(report.sessions, 2);
-    assert_eq!(report.tokens, 6);
-    assert_eq!(report.lockstep_tokens, 0);
-    assert_eq!(report.scalar_tokens, 6);
-    assert_eq!(report.smoothing_batched_tokens, 0);
-    assert_eq!(report.smoothing_scalar_tokens, 0);
-    assert_eq!(pool.lockstep_tokens_total(), 0);
-    assert_eq!(pool.scalar_tokens_total(), 6);
+    assert_eq!(report.sessions, 2, "{case}");
+    assert_eq!(report.tokens, 6, "{case}");
+    assert_eq!(report.lockstep_tokens, 0, "{case}");
+    assert_eq!(report.scalar_tokens, 6, "{case}");
+    assert_eq!(report.smoothing_batched_tokens, 0, "{case}");
+    assert_eq!(report.smoothing_scalar_tokens, 0, "{case}");
+    assert_eq!(pool.lockstep_tokens_total(), 0, "{case}");
+    assert_eq!(pool.scalar_tokens_total(), 6, "{case}");
 }
