@@ -10,11 +10,16 @@
 //!   generic over the emission model `B`,
 //! * [`emission`] — discrete (multinomial), Gaussian and Bernoulli-vector
 //!   (Naive-Bayes pixel) emission models, the three used in the paper,
+//! * [`kernels`] — the per-step row kernels (forward scatter, Viterbi
+//!   gather, backward dot, ξ accumulate) for dense and CSR transitions, and
+//!   the one description of their operation order; every engine below and
+//!   the streaming decoder in `dhmm-stream` run these steps,
 //! * [`scaled`] — the default scaled-space (Rabiner scaling-coefficient)
 //!   inference engine: linear-domain forward–backward and Viterbi writing
 //!   into a reusable [`workspace::InferenceWorkspace`],
 //! * [`sparse`] — the sparse-transition engine: CSR-compiled pruned
-//!   transitions with beam-pruned recursions and a queryable error report,
+//!   transitions with beam-pruned recursions and a queryable error report
+//!   (the same generic offline engine as [`scaled`], over CSR),
 //! * [`workspace`] — preallocated inference buffers, reused across sequences
 //!   and EM iterations (one per thread in the parallel E-step),
 //! * [`reference`] — the original log-domain engine, kept as the numerical
@@ -33,10 +38,12 @@
 
 pub mod baum_welch;
 pub mod emission;
+mod engine;
 pub mod error;
 pub mod forward_backward;
 pub mod generate;
 pub mod init;
+pub mod kernels;
 pub mod model;
 pub mod reference;
 pub mod scaled;
@@ -56,14 +63,15 @@ pub use error::HmmError;
 pub use forward_backward::{forward_backward, ForwardBackward, SequenceStats};
 pub use generate::generate_sequences;
 pub use init::{random_parameters, InitStrategy};
+pub use kernels::{beam_prune, scale_row};
 pub use model::Hmm;
 pub use scaled::{
-    emission_likelihood_row, forward_backward_scaled, log_likelihood_scaled, scale_row,
-    viterbi_scaled, viterbi_scaled_with_score, InferenceBackend,
+    emission_likelihood_row, forward_backward_scaled, log_likelihood_scaled, viterbi_scaled,
+    viterbi_scaled_with_score, InferenceBackend,
 };
 pub use sparse::{
-    beam_prune, forward_backward_sparse, log_likelihood_sparse, viterbi_sparse,
-    viterbi_sparse_with_score, CsrTransition, PruneRule, SparseParams, SparseReport,
+    forward_backward_sparse, log_likelihood_sparse, viterbi_sparse, viterbi_sparse_with_score,
+    CsrTransition, PruneRule, SparseParams, SparseReport,
 };
 pub use supervised::{supervised_estimate, SupervisedCounts};
 pub use viterbi::viterbi;

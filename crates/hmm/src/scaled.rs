@@ -3,7 +3,7 @@
 //! The reference engine in [`crate::forward_backward`] and [`crate::viterbi`]
 //! works through per-state log-probabilities: every time step pays for `k`
 //! `ln`/`exp` calls in each of the forward, backward and ξ passes, plus fresh
-//! `Matrix`/`Vec` allocations per call. This module implements the same
+//! `Matrix`/`Vec` allocations per call. This module runs the same
 //! recursions in the *linear* domain with per-step scaling coefficients
 //! (Rabiner, 1989): each forward row is renormalized to sum to one, the
 //! normalizers `c_t` are remembered, and the sequence log-likelihood is
@@ -13,6 +13,11 @@
 //! [`InferenceWorkspace`](crate::workspace::InferenceWorkspace), so repeated
 //! calls perform no allocation beyond the returned statistics.
 //!
+//! The functions here are thin wrappers: the passes are the generic offline
+//! engine run over the dense matrix (Viterbi over a per-call `Aᵀ` held in the
+//! workspace), and the per-step operation order is documented once, in
+//! [`crate::kernels`].
+//!
 //! Numerical safety: emission likelihoods are first evaluated in the linear
 //! domain ([`Emission::prob_all`]); if an entire row underflows to zero (or
 //! overflows), that step is recomputed through shifted log-probabilities
@@ -21,12 +26,12 @@
 //! [`crate::reference`], and the two engines are equivalence-tested to 1e-9.
 
 use crate::emission::Emission;
+use crate::engine;
 use crate::error::HmmError;
 use crate::forward_backward::SequenceStats;
 use crate::model::Hmm;
 use crate::util::finite_shift;
 use crate::workspace::InferenceWorkspace;
-use dhmm_linalg::Matrix;
 
 /// Which inference engine to run.
 ///
@@ -120,7 +125,7 @@ impl InferenceBackend {
 /// applied (0.0 on the fast path).
 ///
 /// This is the single source of the engine's per-step emission numerics:
-/// the offline engine calls it per time step via `fill_emissions`, and the
+/// the offline engine calls it per time step when it prepares a run, and the
 /// streaming decoder in `dhmm_stream` calls it per pushed token, so the two
 /// see bit-identical emission rows.
 pub fn emission_likelihood_row<E: Emission>(emission: &E, obs: &E::Obs, row: &mut [f64]) -> f64 {
@@ -142,124 +147,6 @@ pub fn emission_likelihood_row<E: Emission>(emission: &E, obs: &E::Obs, row: &mu
     }
 }
 
-/// Fills the workspace emission buffer with linear-domain likelihoods and
-/// records per-step shifts for the rows that had to be rescued through
-/// shifted log-space. Shared with the sparse engine in [`crate::sparse`].
-pub(crate) fn fill_emissions<E: Emission>(
-    model: &Hmm<E>,
-    observations: &[E::Obs],
-    ws: &mut InferenceWorkspace,
-) {
-    let k = model.num_states();
-    for (t, obs) in observations.iter().enumerate() {
-        let row = &mut ws.emis[t * k..(t + 1) * k];
-        ws.shifts[t] = emission_likelihood_row(model.emission(), obs, row);
-    }
-}
-
-/// Normalizes one scaled forward row in place; mirrors the reference
-/// engine's `normalize_in_place` + floored-log semantics exactly. Returns
-/// the raw normalizer `c̃_t` (0.0 when the row had to be floored to uniform)
-/// and the log scaling constant `log c_t = log c̃_t + shift`.
-///
-/// Public for the same reason as [`emission_likelihood_row`]: the streaming
-/// filter must renormalize with bit-identical semantics.
-pub fn scale_row(row: &mut [f64], shift: f64) -> (f64, f64) {
-    let c: f64 = row.iter().sum();
-    if c > 0.0 && c.is_finite() {
-        for v in row.iter_mut() {
-            *v /= c;
-        }
-        (c, c.ln() + shift)
-    } else {
-        let u = 1.0 / row.len() as f64;
-        for v in row.iter_mut() {
-            *v = u;
-        }
-        (0.0, f64::MIN_POSITIVE.ln() + shift)
-    }
-}
-
-/// Runs the scaled forward pass into the workspace (alpha rows, raw and log
-/// scaling constants). Assumes `ws.ensure` and `fill_emissions` have already
-/// run. Shared by the full forward–backward and the forward-only likelihood.
-fn forward_pass<E: Emission>(model: &Hmm<E>, t_len: usize, ws: &mut InferenceWorkspace) {
-    let k = model.num_states();
-    let a = model.transition();
-    {
-        let row = &mut ws.alpha[..k];
-        let e_row = &ws.emis[..k];
-        for (j, (r, &e)) in row.iter_mut().zip(e_row).enumerate() {
-            *r = model.initial()[j] * e;
-        }
-        let (c, log_c) = scale_row(row, ws.shifts[0]);
-        ws.scales[0] = c;
-        ws.log_scales[0] = log_c;
-    }
-    for t in 1..t_len {
-        let (prev, rest) = ws.alpha.split_at_mut(t * k);
-        let prev_row = &prev[(t - 1) * k..];
-        let row = &mut rest[..k];
-        row.fill(0.0);
-        for (i, &ap) in prev_row.iter().enumerate() {
-            if ap == 0.0 {
-                continue;
-            }
-            for (r, &aij) in row.iter_mut().zip(a.row(i)) {
-                *r += ap * aij;
-            }
-        }
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        for (r, &e) in row.iter_mut().zip(e_row) {
-            *r *= e;
-        }
-        let (c, log_c) = scale_row(row, ws.shifts[t]);
-        ws.scales[t] = c;
-        ws.log_scales[t] = log_c;
-    }
-}
-
-/// Runs the scaled forward and backward passes into the workspace. Assumes
-/// `ws.ensure` and `fill_emissions` have already run.
-fn forward_backward_passes<E: Emission>(model: &Hmm<E>, t_len: usize, ws: &mut InferenceWorkspace) {
-    let k = model.num_states();
-    let a = model.transition();
-
-    forward_pass(model, t_len, ws);
-
-    // --- Backward pass, scaled with per-row sums (the exact constant is
-    // irrelevant because gamma and xi are re-normalized). ---
-    for v in ws.beta[(t_len - 1) * k..t_len * k].iter_mut() {
-        *v = 1.0;
-    }
-    for t in (0..t_len - 1).rev() {
-        // w[j] = b_j(y_{t+1}) * beta(t+1, j), precomputed once per step.
-        let next_e = &ws.emis[(t + 1) * k..(t + 2) * k];
-        {
-            let (cur_beta, next_beta) = ws.beta.split_at_mut((t + 1) * k);
-            let next_row = &next_beta[..k];
-            let w = &mut ws.row[..k];
-            for ((wv, &e), &b) in w.iter_mut().zip(next_e).zip(next_row) {
-                *wv = e * b;
-            }
-            let row = &mut cur_beta[t * k..];
-            for (i, r) in row.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (&aij, &wv) in a.row(i).iter().zip(w.iter()) {
-                    acc += aij * wv;
-                }
-                *r = acc;
-            }
-            let norm: f64 = row.iter().sum();
-            if norm > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= norm;
-                }
-            }
-        }
-    }
-}
-
 /// Runs the scaled forward–backward algorithm for one sequence, writing all
 /// intermediates into `ws`, and returns the EM sufficient statistics.
 ///
@@ -271,72 +158,9 @@ pub fn forward_backward_scaled<E: Emission>(
     observations: &[E::Obs],
     ws: &mut InferenceWorkspace,
 ) -> Result<SequenceStats, HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot run forward-backward on an empty sequence".into(),
-        });
-    }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
-    forward_backward_passes(model, t_len, ws);
-
-    // Unary posteriors: gamma(t, i) ∝ alpha(t, i) * beta(t, i).
-    let mut gamma = Matrix::zeros(t_len, k);
-    for t in 0..t_len {
-        let row = gamma.row_mut(t);
-        let a_row = &ws.alpha[t * k..(t + 1) * k];
-        let b_row = &ws.beta[t * k..(t + 1) * k];
-        for ((g, &av), &bv) in row.iter_mut().zip(a_row).zip(b_row) {
-            *g = av * bv;
-        }
-        dhmm_linalg::normalize_in_place(row);
-    }
-
-    // Pairwise posteriors summed over time. The per-step normalizer
-    // Σ_ij α(t−1,i)·A_ij·b_j(y_t)·β(t,j) equals c̃_t · Σ_j α(t,j)·β(t,j),
-    // so it comes from quantities already in the workspace.
-    let mut xi_sum = Matrix::zeros(k, k);
-    let a = model.transition();
-    for t in 1..t_len {
-        if ws.scales[t] == 0.0 {
-            continue;
-        }
-        let alpha_t = &ws.alpha[t * k..(t + 1) * k];
-        let beta_t = &ws.beta[t * k..(t + 1) * k];
-        let mut ab = 0.0;
-        for (&av, &bv) in alpha_t.iter().zip(beta_t) {
-            ab += av * bv;
-        }
-        let total = ws.scales[t] * ab;
-        if !total.is_finite() || total <= 0.0 {
-            continue;
-        }
-        // w[j] = b_j(y_t) * beta(t, j) / total.
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        let w = &mut ws.row[..k];
-        for ((wv, &e), &b) in w.iter_mut().zip(e_row).zip(beta_t) {
-            *wv = e * b / total;
-        }
-        let alpha_prev = &ws.alpha[(t - 1) * k..t * k];
-        for (i, &ap) in alpha_prev.iter().enumerate() {
-            if ap == 0.0 {
-                continue;
-            }
-            let xi_row = xi_sum.row_mut(i);
-            for ((x, &aij), &wv) in xi_row.iter_mut().zip(a.row(i)).zip(w.iter()) {
-                *x += ap * aij * wv;
-            }
-        }
-    }
-
-    let log_likelihood = ws.log_scales[..t_len].iter().sum();
-    Ok(SequenceStats {
-        gamma,
-        xi_sum,
-        log_likelihood,
-    })
+    let t_len = engine::prepare(model, observations, ws, engine::FB_EMPTY)?;
+    let (stats, _) = engine::forward_backward(model.transition(), model.initial(), ws, t_len, 0.0);
+    Ok(stats)
 }
 
 /// Computes `log P(Y | λ)` with the scaled forward pass only — no backward
@@ -346,16 +170,8 @@ pub fn log_likelihood_scaled<E: Emission>(
     observations: &[E::Obs],
     ws: &mut InferenceWorkspace,
 ) -> Result<f64, HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot run forward-backward on an empty sequence".into(),
-        });
-    }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
-    forward_pass(model, t_len, ws);
+    let t_len = engine::prepare(model, observations, ws, engine::FB_EMPTY)?;
+    engine::forward(model.transition(), model.initial(), ws, t_len, 0.0);
     Ok(ws.log_scales[..t_len].iter().sum())
 }
 
@@ -393,86 +209,15 @@ pub fn viterbi_scaled_with_score<E: Emission>(
     observations: &[E::Obs],
     ws: &mut InferenceWorkspace,
 ) -> Result<(Vec<usize>, f64), HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot decode an empty sequence".into(),
-        });
+    let t_len = engine::prepare(model, observations, ws, engine::DECODE_EMPTY)?;
+    // The gather walks contiguous predecessor rows of a per-call `Aᵀ`,
+    // taken out of the workspace for the run and put back afterwards.
+    let mut at = std::mem::take(&mut ws.at);
+    at.rebuild(model.transition());
+    let run = engine::viterbi(&at, model.initial(), ws, t_len, 0.0);
+    ws.at = at;
+    match run {
+        Some((path, score, _)) => Ok((path, score)),
+        None => crate::reference::viterbi_with_score(model, observations),
     }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
-    let a = model.transition();
-
-    let mut log_score = 0.0;
-    {
-        let (prev, _) = ws.delta.split_at_mut(k);
-        for (j, p) in prev.iter_mut().enumerate() {
-            *p = model.initial()[j] * ws.emis[j];
-        }
-        let m = prev.iter().cloned().fold(0.0_f64, f64::max);
-        if !m.is_finite() || m <= 0.0 {
-            return crate::reference::viterbi_with_score(model, observations);
-        }
-        for p in prev.iter_mut() {
-            *p /= m;
-        }
-        log_score += m.ln() + ws.shifts[0];
-    }
-    for t in 1..t_len {
-        let (first, rest) = ws.delta.split_at_mut(k);
-        let second = &mut rest[..k];
-        // Alternate the two rolling rows each step.
-        let (prev, cur): (&[f64], &mut [f64]) = if t % 2 == 1 {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        let psi_row = &mut ws.psi[t * k..(t + 1) * k];
-        for j in 0..k {
-            let mut best = f64::NEG_INFINITY;
-            let mut best_i = 0;
-            for (i, &dp) in prev.iter().enumerate() {
-                let s = dp * a[(i, j)];
-                if s > best {
-                    best = s;
-                    best_i = i;
-                }
-            }
-            cur[j] = best * e_row[j];
-            psi_row[j] = best_i;
-        }
-        let m = cur.iter().cloned().fold(0.0_f64, f64::max);
-        if !m.is_finite() || m <= 0.0 {
-            return crate::reference::viterbi_with_score(model, observations);
-        }
-        for p in cur.iter_mut() {
-            *p /= m;
-        }
-        log_score += m.ln() + ws.shifts[t];
-    }
-
-    // Backtrack from the best final state (first occurrence on ties, like
-    // the reference).
-    let last = if (t_len - 1) % 2 == 0 {
-        &ws.delta[..k]
-    } else {
-        &ws.delta[k..2 * k]
-    };
-    let (mut best_state, mut best_val) = (0usize, f64::NEG_INFINITY);
-    for (j, &v) in last.iter().enumerate() {
-        if v > best_val {
-            best_val = v;
-            best_state = j;
-        }
-    }
-    let mut path = vec![0usize; t_len];
-    path[t_len - 1] = best_state;
-    for t in (0..t_len - 1).rev() {
-        path[t] = ws.psi[(t + 1) * k + path[t + 1]];
-    }
-    // After normalization the winning entry is exactly 1, but keep the exact
-    // identity `score = Σ log m_t + log δ_final(best)` for robustness.
-    Ok((path, log_score + best_val.ln()))
 }

@@ -7,9 +7,11 @@
 //! is wasted work. This module compiles the dense transition matrix into a
 //! [`CsrTransition`] — the matrix after [`PruneRule`] pruning and row
 //! renormalization, stored in both orientations (row-major for the forward
-//! and backward passes, transposed for Viterbi) — and runs the same scaled
-//! recursions as [`crate::scaled`] over the stored entries only, optionally
-//! beam-pruning the per-step state distribution.
+//! and backward passes, transposed for Viterbi) — and runs the same generic
+//! offline engine as [`crate::scaled`] over the stored entries only,
+//! optionally beam-pruning the per-step state distribution. The CSR row
+//! kernels and the operation order they share with the dense ones are in
+//! [`crate::kernels`].
 //!
 //! # Approximation contract
 //!
@@ -40,10 +42,11 @@
 //! to [`crate::scaled`], which is how the backend is oracle-pinned.
 
 use crate::emission::Emission;
+use crate::engine;
 use crate::error::HmmError;
 use crate::forward_backward::SequenceStats;
+use crate::kernels::BeamStats;
 use crate::model::Hmm;
-use crate::scaled::{fill_emissions, scale_row};
 use crate::workspace::InferenceWorkspace;
 use dhmm_linalg::{CsrMatrix, Matrix};
 
@@ -178,71 +181,6 @@ impl SparseReport {
     pub fn within(&self, tol: f64) -> bool {
         self.ll_error_bound <= tol
     }
-}
-
-/// Running beam statistics of one recursion.
-#[derive(Debug, Clone, Copy, Default)]
-struct BeamStats {
-    total: f64,
-    max: f64,
-    bound: f64,
-}
-
-impl BeamStats {
-    #[inline]
-    fn record(&mut self, eps: f64) {
-        if eps > 0.0 {
-            self.total += eps;
-            if eps > self.max {
-                self.max = eps;
-            }
-            self.bound -= (-eps).ln_1p();
-        }
-    }
-}
-
-/// Zeroes entries of `row` below `beam × max(row)` and returns the relative
-/// mass removed, `ε = pruned / (pruned + kept)`. With `beam == 0.0` (or a
-/// degenerate row) the row is left untouched and `0.0` is returned, so the
-/// exact configuration never perturbs a single bit.
-///
-/// Public so the streaming decoder in `dhmm-stream` applies the identical
-/// beam step token-by-token; `−ln(1−ε)` accumulated over steps is the
-/// log-likelihood deficit estimate (see the module docs).
-pub fn beam_prune(row: &mut [f64], beam: f64) -> f64 {
-    if beam <= 0.0 {
-        return 0.0;
-    }
-    let mut m = 0.0_f64;
-    for &v in row.iter() {
-        m = m.max(v);
-    }
-    // `m` cannot be NaN: it starts at 0.0 and `f64::max` keeps the non-NaN
-    // operand, so `<=` is a complete degenerate-row check here.
-    if m <= 0.0 || !m.is_finite() {
-        return 0.0;
-    }
-    // Branchless select: whether an entry survives is data-dependent and
-    // close to a coin flip per element, so a conditional here costs a
-    // mispredict per entry — masking by 0.0/1.0 keeps the loop a straight
-    // line of multiplies the compiler can vectorize. Multiplying a kept
-    // value by 1.0 reproduces it bit-for-bit, and the `+ 0.0` terms added
-    // to each accumulator leave the branchy sums unchanged (all entries
-    // are non-negative), so the ε accounting is identical.
-    let cut = beam * m;
-    let mut kept = 0.0;
-    let mut pruned = 0.0;
-    for v in row.iter_mut() {
-        let keep = f64::from(u8::from(*v >= cut));
-        let drop = 1.0 - keep;
-        pruned += *v * drop;
-        kept += *v * keep;
-        *v *= keep;
-    }
-    if pruned <= 0.0 {
-        return 0.0;
-    }
-    pruned / (pruned + kept)
 }
 
 /// A dense transition matrix compiled for sparse inference: the pruned,
@@ -476,57 +414,6 @@ fn take_cache(
     }
 }
 
-/// Runs the beam-pruned scaled forward pass over the compiled transitions.
-/// Mirrors the dense `forward_pass` exactly apart from the CSR scatter and
-/// the beam step, and is bit-equal to it under [`SparseParams::exact`].
-fn forward_pass_sparse<E: Emission>(
-    model: &Hmm<E>,
-    t_len: usize,
-    ws: &mut InferenceWorkspace,
-    csr: &CsrTransition,
-    beam: f64,
-) -> BeamStats {
-    let k = model.num_states();
-    let mut stats = BeamStats::default();
-    {
-        let row = &mut ws.alpha[..k];
-        let e_row = &ws.emis[..k];
-        for (j, (r, &e)) in row.iter_mut().zip(e_row).enumerate() {
-            *r = model.initial()[j] * e;
-        }
-        stats.record(beam_prune(row, beam));
-        let (c, log_c) = scale_row(row, ws.shifts[0]);
-        ws.scales[0] = c;
-        ws.log_scales[0] = log_c;
-    }
-    let fwd = csr.forward();
-    for t in 1..t_len {
-        let (prev, rest) = ws.alpha.split_at_mut(t * k);
-        let prev_row = &prev[(t - 1) * k..];
-        let row = &mut rest[..k];
-        row.fill(0.0);
-        // Scatter one source row per live predecessor: beam-zeroed (and
-        // naturally zero) predecessors skip their whole row. Ascending `i`
-        // keeps the per-column accumulation order identical to the dense
-        // engine.
-        for (i, &ap) in prev_row.iter().enumerate() {
-            if ap == 0.0 {
-                continue;
-            }
-            fwd.axpy_row(i, ap, row);
-        }
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        for (r, &e) in row.iter_mut().zip(e_row) {
-            *r *= e;
-        }
-        stats.record(beam_prune(row, beam));
-        let (c, log_c) = scale_row(row, ws.shifts[t]);
-        ws.scales[t] = c;
-        ws.log_scales[t] = log_c;
-    }
-    stats
-}
-
 /// Assembles and stores the run report on the workspace.
 fn store_report(ws: &mut InferenceWorkspace, csr: &CsrTransition, steps: usize, beam: BeamStats) {
     ws.sparse_report = Some(SparseReport {
@@ -551,98 +438,13 @@ pub fn forward_backward_sparse<E: Emission>(
     ws: &mut InferenceWorkspace,
     params: SparseParams,
 ) -> Result<SequenceStats, HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot run forward-backward on an empty sequence".into(),
-        });
-    }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
+    let t_len = engine::prepare(model, observations, ws, engine::FB_EMPTY)?;
     let cache = take_cache(ws, model.transition(), params)?;
-    let csr = &cache.csr;
-    let beam = forward_pass_sparse(model, t_len, ws, csr, params.beam);
-
-    // Backward pass: identical to the dense engine with the per-row dot
-    // taken over the stored entries (ascending column order, same bits).
-    let fwd = csr.forward();
-    for v in ws.beta[(t_len - 1) * k..t_len * k].iter_mut() {
-        *v = 1.0;
-    }
-    for t in (0..t_len - 1).rev() {
-        let next_e = &ws.emis[(t + 1) * k..(t + 2) * k];
-        let (cur_beta, next_beta) = ws.beta.split_at_mut((t + 1) * k);
-        let next_row = &next_beta[..k];
-        let w = &mut ws.row[..k];
-        for ((wv, &e), &b) in w.iter_mut().zip(next_e).zip(next_row) {
-            *wv = e * b;
-        }
-        let row = &mut cur_beta[t * k..];
-        for (i, r) in row.iter_mut().enumerate() {
-            *r = fwd.dot_row(i, w);
-        }
-        let norm: f64 = row.iter().sum();
-        if norm > 0.0 {
-            for v in row.iter_mut() {
-                *v /= norm;
-            }
-        }
-    }
-
-    // Posteriors: same shape as the dense engine, with the ξ accumulation
-    // visiting stored entries only.
-    let mut gamma = Matrix::zeros(t_len, k);
-    for t in 0..t_len {
-        let row = gamma.row_mut(t);
-        let a_row = &ws.alpha[t * k..(t + 1) * k];
-        let b_row = &ws.beta[t * k..(t + 1) * k];
-        for ((g, &av), &bv) in row.iter_mut().zip(a_row).zip(b_row) {
-            *g = av * bv;
-        }
-        dhmm_linalg::normalize_in_place(row);
-    }
-    let mut xi_sum = Matrix::zeros(k, k);
-    for t in 1..t_len {
-        if ws.scales[t] == 0.0 {
-            continue;
-        }
-        let alpha_t = &ws.alpha[t * k..(t + 1) * k];
-        let beta_t = &ws.beta[t * k..(t + 1) * k];
-        let mut ab = 0.0;
-        for (&av, &bv) in alpha_t.iter().zip(beta_t) {
-            ab += av * bv;
-        }
-        let total = ws.scales[t] * ab;
-        if !total.is_finite() || total <= 0.0 {
-            continue;
-        }
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        let w = &mut ws.row[..k];
-        for ((wv, &e), &b) in w.iter_mut().zip(e_row).zip(beta_t) {
-            *wv = e * b / total;
-        }
-        let alpha_prev = &ws.alpha[(t - 1) * k..t * k];
-        for (i, &ap) in alpha_prev.iter().enumerate() {
-            if ap == 0.0 {
-                continue;
-            }
-            let (cols, vals) = fwd.row(i);
-            let xi_row = xi_sum.row_mut(i);
-            for (&j, &aij) in cols.iter().zip(vals) {
-                xi_row[j as usize] += ap * aij * w[j as usize];
-            }
-        }
-    }
-
-    let log_likelihood = ws.log_scales[..t_len].iter().sum();
-    store_report(ws, csr, t_len, beam);
+    let (stats, beam) =
+        engine::forward_backward(&cache.csr, model.initial(), ws, t_len, params.beam);
+    store_report(ws, &cache.csr, t_len, beam);
     ws.sparse = Some(cache);
-    Ok(SequenceStats {
-        gamma,
-        xi_sum,
-        log_likelihood,
-    })
+    Ok(stats)
 }
 
 /// Sparse-transition log-likelihood (forward pass only); a certified lower
@@ -654,17 +456,9 @@ pub fn log_likelihood_sparse<E: Emission>(
     ws: &mut InferenceWorkspace,
     params: SparseParams,
 ) -> Result<f64, HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot run forward-backward on an empty sequence".into(),
-        });
-    }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
+    let t_len = engine::prepare(model, observations, ws, engine::FB_EMPTY)?;
     let cache = take_cache(ws, model.transition(), params)?;
-    let beam = forward_pass_sparse(model, t_len, ws, &cache.csr, params.beam);
+    let beam = engine::forward(&cache.csr, model.initial(), ws, t_len, params.beam);
     store_report(ws, &cache.csr, t_len, beam);
     ws.sparse = Some(cache);
     Ok(ws.log_scales[..t_len].iter().sum())
@@ -696,82 +490,15 @@ pub fn viterbi_sparse_with_score<E: Emission>(
     ws: &mut InferenceWorkspace,
     params: SparseParams,
 ) -> Result<(Vec<usize>, f64), HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot decode an empty sequence".into(),
-        });
-    }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
+    let t_len = engine::prepare(model, observations, ws, engine::DECODE_EMPTY)?;
     let cache = take_cache(ws, model.transition(), params)?;
-    let csr = &cache.csr;
-    let tr = csr.transposed();
-    let mut stats = BeamStats::default();
-
-    let mut log_score = 0.0;
-    {
-        let (prev, _) = ws.delta.split_at_mut(k);
-        for (j, p) in prev.iter_mut().enumerate() {
-            *p = model.initial()[j] * ws.emis[j];
-        }
-        let m = prev.iter().cloned().fold(0.0_f64, f64::max);
-        if !m.is_finite() || m <= 0.0 {
-            ws.sparse = Some(cache);
-            return crate::reference::viterbi_with_score(model, observations);
-        }
-        for p in prev.iter_mut() {
-            *p /= m;
-        }
-        log_score += m.ln() + ws.shifts[0];
-        stats.record(beam_prune(prev, params.beam));
+    let run = engine::viterbi(&cache.csr, model.initial(), ws, t_len, params.beam);
+    if let Some((_, _, beam)) = run {
+        store_report(ws, &cache.csr, t_len, beam);
     }
-    for t in 1..t_len {
-        let (first, rest) = ws.delta.split_at_mut(k);
-        let second = &mut rest[..k];
-        let (prev, cur): (&[f64], &mut [f64]) = if t % 2 == 1 {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        let psi_row = &mut ws.psi[t * k..(t + 1) * k];
-        for j in 0..k {
-            let (best, best_i) = tr.argmax_product_row(j, prev);
-            cur[j] = best * e_row[j];
-            psi_row[j] = best_i;
-        }
-        let m = cur.iter().cloned().fold(0.0_f64, f64::max);
-        if !m.is_finite() || m <= 0.0 {
-            ws.sparse = Some(cache);
-            return crate::reference::viterbi_with_score(model, observations);
-        }
-        for p in cur.iter_mut() {
-            *p /= m;
-        }
-        log_score += m.ln() + ws.shifts[t];
-        stats.record(beam_prune(cur, params.beam));
-    }
-
-    let last = if (t_len - 1) % 2 == 0 {
-        &ws.delta[..k]
-    } else {
-        &ws.delta[k..2 * k]
-    };
-    let (mut best_state, mut best_val) = (0usize, f64::NEG_INFINITY);
-    for (j, &v) in last.iter().enumerate() {
-        if v > best_val {
-            best_val = v;
-            best_state = j;
-        }
-    }
-    let mut path = vec![0usize; t_len];
-    path[t_len - 1] = best_state;
-    for t in (0..t_len - 1).rev() {
-        path[t] = ws.psi[(t + 1) * k + path[t + 1]];
-    }
-    store_report(ws, csr, t_len, stats);
     ws.sparse = Some(cache);
-    Ok((path, log_score + best_val.ln()))
+    match run {
+        Some((path, score, _)) => Ok((path, score)),
+        None => crate::reference::viterbi_with_score(model, observations),
+    }
 }

@@ -4,8 +4,8 @@
 //! allocates fresh `Matrix`/`Vec` storage on every call, which dominates the
 //! cost of repeated E-steps on short sequences. An [`InferenceWorkspace`] owns
 //! all of that scratch storage instead: it is sized on first use and then
-//! reused across sequences and EM iterations, so the hot loops in
-//! [`crate::scaled`] run without touching the allocator.
+//! reused across sequences and EM iterations, so the hot loops of the
+//! scaled and sparse engines run without touching the allocator.
 
 /// Preallocated scratch buffers for the scaled-space engine.
 ///
@@ -41,6 +41,8 @@ pub struct InferenceWorkspace {
     pub(crate) delta: Vec<f64>,
     /// `T × k` Viterbi backpointers.
     pub(crate) psi: Vec<usize>,
+    /// `Aᵀ` of the last dense Viterbi call, rebuilt per call (grow-only).
+    pub(crate) at: crate::kernels::DenseTranspose,
     /// Compiled-transition cache of the sparse engine (boxed: dense-engine
     /// users pay one pointer). Keyed by a bitwise copy of the dense matrix
     /// plus the compile parameters, so model updates invalidate it.

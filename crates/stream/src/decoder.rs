@@ -3,13 +3,12 @@
 //!
 //! # Algorithms
 //!
-//! **Filtering.** The scaled forward recursion of the offline engine
-//! ([`dhmm_hmm::scaled`]), one row per pushed token: the new α̂ row is
-//! accumulated in the exact operation order of the offline `forward_pass`
-//! (ascending predecessor index, zero-predecessor skip, emission multiply,
-//! [`dhmm_hmm::scale_row`]), so the streaming filtered rows and the running
-//! `log P(y_0..t) = Σ log c_t` are **bit-identical** to an offline forward
-//! pass over the same prefix.
+//! **Filtering.** The scaled forward recursion of the offline engine, one
+//! row per pushed token: the scalar step, the lockstep finish and the
+//! offline engines all run the step functions of [`dhmm_hmm::kernels`]
+//! (where the operation order is documented once), so the streaming
+//! filtered rows and the running `log P(y_0..t) = Σ log c_t` are
+//! **bit-identical** to an offline forward pass over the same prefix.
 //!
 //! **Fixed-lag smoothing.** Rather than paying an O(L·k²) backward pass per
 //! token, smoothing runs in amortized-O(k²) blocks: once `2L` un-smoothed
@@ -51,13 +50,16 @@
 //! on every input whose optimum has positive probability.
 
 use crate::error::StreamError;
-use crate::workspace::{BatchPanel, StreamScratch, StreamWorkspace, LANES};
+use crate::workspace::{BatchPanel, StreamScratch, StreamWorkspace, TransCache, LANES};
 use dhmm_hmm::emission::Emission;
+use dhmm_hmm::kernels::{
+    backward_step, best_state, filter_finish, forward_step, initial_step, viterbi_normalize,
+    viterbi_step, DenseTranspose, RowKernels, ViterbiGather,
+};
 use dhmm_hmm::model::Hmm;
-use dhmm_hmm::scaled::{emission_likelihood_row, scale_row};
-use dhmm_hmm::sparse::{beam_prune, SparseParams};
+use dhmm_hmm::scaled::emission_likelihood_row;
 use dhmm_hmm::InferenceBackend;
-use dhmm_linalg::{CsrMatrix, Matrix};
+use dhmm_linalg::{normalize_in_place, CsrMatrix};
 use dhmm_runtime::Parallelism;
 use dhmm_telemetry::{Counter, Histogram, TelemetrySink};
 
@@ -331,13 +333,11 @@ pub struct FlushOutput<'a> {
 ///
 /// `epoch` keys the scratch's transition-layout cache (see
 /// [`crate::workspace::StreamScratch`]): the pool passes its publish epoch,
-/// a standalone decoder always passes 0. Under
-/// [`InferenceBackend::Sparse`] the filter and Viterbi recursions run over
-/// the CSR-compiled pruned matrix with the per-step beam applied after each
-/// normalization, accumulating `Σ −ln(1−ε_t)` into the workspace's
-/// log-likelihood error bound; under [`InferenceBackend::Scaled`] the dense
-/// recursions are bit-identical to before, with the Viterbi inner loop
-/// reading the cached transposed transition (contiguous predecessor rows).
+/// a standalone decoder always passes 0. The backend picks the transition
+/// representation once per token — the dense `A` and its cached `Aᵀ`, or
+/// the CSR-compiled pruned matrix with its per-step beam, whose `Σ −ln(1−ε_t)`
+/// accumulates into the workspace's log-likelihood error bound — and
+/// [`scalar_step`] runs over it.
 ///
 /// Runs the filter, the Viterbi step and both commit rules, but no
 /// fixed-lag smoothing: a pool returns labels only, and
@@ -366,152 +366,108 @@ pub(crate) fn push_token<E: Emission>(
     scratch.clear_outputs();
 
     let t = ws.t;
-    let slot = ws.slot(t);
     let a = model.transition();
-
-    // --- Transition layouts (epoch-keyed; no-ops once warm).
-    let sparse: Option<SparseParams> = match backend {
+    // Transition layouts are epoch-keyed: no-op once warm.
+    scratch.trans.prepare(a, epoch, backend);
+    let trans = &scratch.trans;
+    match backend {
         InferenceBackend::Sparse(params) => {
-            scratch.trans.prepare_sparse(a, epoch, params);
-            Some(params)
+            let csr = &trans.csr;
+            scalar_step(model, csr, csr, params.beam, ws, &mut scratch.row, obs);
         }
-        _ => {
-            scratch.trans.prepare_dense(a, epoch);
-            None
-        }
-    };
-
-    // --- Emission row (shared per-step numerics with the offline engine).
-    let shift = {
-        let e_row = &mut ws.emis[slot * k..(slot + 1) * k];
-        emission_likelihood_row(model.emission(), obs, e_row)
-    };
-
-    // --- Scaled forward (filter) step, in the offline op order.
-    {
-        let trans = &scratch.trans;
-        let row = &mut scratch.row[..k];
-        if t == 0 {
-            let e_row = &ws.emis[slot * k..(slot + 1) * k];
-            for (j, (r, &e)) in row.iter_mut().zip(e_row).enumerate() {
-                *r = model.initial()[j] * e;
-            }
-        } else {
-            let prev = ws.alpha_row(t - 1);
-            row.fill(0.0);
-            if sparse.is_some() {
-                // CSR scatter per live predecessor: beam-zeroed (and
-                // naturally zero) predecessors skip their whole row, in the
-                // offline sparse engine's op order.
-                let fwd = trans.csr.forward();
-                for (i, &ap) in prev.iter().enumerate() {
-                    if ap == 0.0 {
-                        continue;
-                    }
-                    fwd.axpy_row(i, ap, row);
-                }
-            } else {
-                for (i, &ap) in prev.iter().enumerate() {
-                    if ap == 0.0 {
-                        continue;
-                    }
-                    for (r, &aij) in row.iter_mut().zip(a.row(i)) {
-                        *r += ap * aij;
-                    }
-                }
-            }
-            let e_row = &ws.emis[slot * k..(slot + 1) * k];
-            for (r, &e) in row.iter_mut().zip(e_row) {
-                *r *= e;
-            }
-        }
-        if let Some(params) = sparse {
-            let eps = beam_prune(row, params.beam);
-            if eps > 0.0 {
-                ws.sparse_pruned_total += eps;
-                ws.sparse_bound -= (-eps).ln_1p();
-            }
-        }
-        let (_c, log_c) = scale_row(row, shift);
-        ws.log_likelihood += log_c;
-        ws.alpha[slot * k..(slot + 1) * k].copy_from_slice(row);
-    }
-
-    // --- Online Viterbi step (offline parity scheme: time t's row is
-    // delta[(t % 2) * k ..]).
-    {
-        let trans = &scratch.trans;
-        let (first, rest) = ws.delta.split_at_mut(k);
-        let second = &mut rest[..k];
-        let e_row = &ws.emis[slot * k..(slot + 1) * k];
-        let cur: &mut [f64] = if t == 0 {
-            for (j, p) in first.iter_mut().enumerate() {
-                *p = model.initial()[j] * e_row[j];
-            }
-            first
-        } else {
-            let (prev, cur): (&[f64], &mut [f64]) = if t % 2 == 1 {
-                (first, second)
-            } else {
-                (second, first)
-            };
-            let psi_row = &mut ws.psi[slot * k..(slot + 1) * k];
-            if sparse.is_some() {
-                // Gather over each state's stored predecessors (`Ãᵀ` row).
-                let tr = trans.csr.transposed();
-                for j in 0..k {
-                    let (best, best_i) = tr.argmax_product_row(j, prev);
-                    cur[j] = best * e_row[j];
-                    psi_row[j] = best_i;
-                }
-            } else {
-                // Dense gather over the cached transpose: predecessors of
-                // state `j` are one contiguous row, same IEEE op sequence
-                // (and strict-`>` first-occurrence argmax) as reading
-                // `a[(i, j)]` column-wise.
-                for j in 0..k {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut best_i = 0;
-                    for (i, (&dp, &aij)) in prev.iter().zip(trans.at.row(j)).enumerate() {
-                        let s = dp * aij;
-                        if s > best {
-                            best = s;
-                            best_i = i;
-                        }
-                    }
-                    cur[j] = best * e_row[j];
-                    psi_row[j] = best_i;
-                }
-            }
-            cur
-        };
-        let m = cur.iter().cloned().fold(0.0_f64, f64::max);
-        if m.is_finite() && m > 0.0 {
-            for p in cur.iter_mut() {
-                *p /= m;
-            }
-            ws.viterbi_log += m.ln() + shift;
-            if let Some(params) = sparse {
-                // Beam the normalized score row (offline sparse order). The
-                // discarded states are competing paths only; the surviving
-                // path's score is never altered. ε here is deliberately not
-                // folded into the filter's error bound.
-                beam_prune(cur, params.beam);
-            }
-        } else {
-            // Every surviving path hit probability zero: floor to uniform
-            // (the streaming analogue of the offline engine's reference
-            // fallback — see the module docs' boundary-semantics note).
-            let u = 1.0 / k as f64;
-            for p in cur.iter_mut() {
-                *p = u;
-            }
-            ws.viterbi_log += f64::MIN_POSITIVE.ln() + shift;
-        }
+        _ => scalar_step(model, a, &trans.at, 0.0, ws, &mut scratch.row, obs),
     }
 
     commit_rules(ws, scratch, t, lag);
     ws.t = t + 1;
+}
+
+/// The filter and Viterbi steps of one token over one transition
+/// representation (`rows` for the forward scatter, `preds` for the Viterbi
+/// gather): the emission row, the [`dhmm_hmm::kernels`] steps, and the
+/// finishes the lockstep path shares. `row` is a length-`k` work row: with
+/// `lag = 0` the ring has one slot, so the new α̂ row cannot be accumulated
+/// in place over the previous one.
+fn scalar_step<E: Emission, R: RowKernels, G: ViterbiGather>(
+    model: &Hmm<E>,
+    rows: &R,
+    preds: &G,
+    beam: f64,
+    ws: &mut StreamWorkspace,
+    row: &mut [f64],
+    obs: &E::Obs,
+) {
+    let k = ws.num_states;
+    let t = ws.t;
+    let slot = ws.slot(t);
+    let cell = slot * k..(slot + 1) * k;
+    let shift = emission_likelihood_row(model.emission(), obs, &mut ws.emis[cell.clone()]);
+
+    let e = &ws.emis[cell.clone()];
+    if t == 0 {
+        initial_step(model.initial(), e, &mut ws.alpha[cell.clone()]);
+    } else {
+        let row = &mut row[..k];
+        forward_step(rows, ws.alpha_row(t - 1), e, row);
+        ws.alpha[cell.clone()].copy_from_slice(row);
+    }
+    finish_filter(ws, slot, shift, beam);
+
+    // Time t's Viterbi row is delta[(t % 2) * k ..], as offline.
+    let e = &ws.emis[cell.clone()];
+    let (even, odd) = ws.delta.split_at_mut(k);
+    let odd = &mut odd[..k];
+    if t == 0 {
+        initial_step(model.initial(), e, even);
+    } else {
+        let (prev, cur) = if t % 2 == 1 {
+            (&*even, odd)
+        } else {
+            (&*odd, even)
+        };
+        viterbi_step(preds, prev, e, cur, &mut ws.psi[cell]);
+    }
+    finish_viterbi(ws, t, shift, beam);
+}
+
+/// Filter finish of the scalar and lockstep steps: the beam (CSR only) and
+/// rescale of time `t`'s α̂ row in ring slot `slot`, folded into the running
+/// log-likelihood and beam statistics.
+#[inline]
+fn finish_filter(ws: &mut StreamWorkspace, slot: usize, shift: f64, beam: f64) {
+    let k = ws.num_states;
+    let row = &mut ws.alpha[slot * k..(slot + 1) * k];
+    let (_, log_c) = filter_finish(row, shift, beam, &mut ws.beam);
+    ws.log_likelihood += log_c;
+}
+
+/// Viterbi finish of the scalar and lockstep steps: normalize (and beam)
+/// time `t`'s score row. The beam's ε is deliberately not folded into the
+/// filter's error bound: it discards competing paths only. When every
+/// surviving path hit probability zero the row is floored to uniform — the
+/// streaming analogue of the offline engine's reference fallback (see the
+/// module docs' boundary-semantics note).
+#[inline]
+fn finish_viterbi(ws: &mut StreamWorkspace, t: usize, shift: f64, beam: f64) {
+    let k = ws.num_states;
+    let cur = &mut ws.delta[(t % 2) * k..(t % 2) * k + k];
+    let log_m = match viterbi_normalize(cur, beam) {
+        Some((ln_m, _)) => ln_m,
+        None => {
+            cur.fill(1.0 / k as f64);
+            f64::MIN_POSITIVE.ln()
+        }
+    };
+    ws.viterbi_log += log_m + shift;
+}
+
+/// The per-step beam of a backend (0 disables it; only the CSR backend has
+/// one).
+fn beam_of(backend: InferenceBackend) -> f64 {
+    match backend {
+        InferenceBackend::Sparse(params) => params.beam,
+        _ => 0.0,
+    }
 }
 
 /// Both Viterbi commit rules for the token at time `t` — shared verbatim by
@@ -532,41 +488,6 @@ fn commit_rules(ws: &mut StreamWorkspace, scratch: &mut StreamScratch, t: usize,
     // --- Commit rule 2: forced commit at lag L.
     if ws.base + lag <= t {
         force_commit(ws, scratch, t, t - lag);
-    }
-}
-
-/// Applies the [`smoothing_action`] for the token at time `t` through the
-/// backward pass, advancing `ws.smoothed_upto`. Returns the smoothed rows
-/// emitted into `scratch.smoothed`. Only [`StreamingDecoder::push`] calls
-/// it: smoothing reads nothing but the α̂ and emission rings, which the
-/// commit rules never touch, so running it after them is bit-safe.
-fn apply_smoothing<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    backend: InferenceBackend,
-    ws: &mut StreamWorkspace,
-    scratch: &mut StreamScratch,
-    t: usize,
-) -> usize {
-    let k = ws.num_states;
-    match smoothing_action(lag, t, ws.smoothed_upto) {
-        Some(SmoothAction::CopyFiltered) => {
-            scratch.smoothed[..k].copy_from_slice(ws.alpha_row(t));
-            scratch.smoothed_len = 1;
-            scratch.smoothed_start = t;
-            ws.smoothed_upto = t + 1;
-            1
-        }
-        Some(SmoothAction::Block {
-            from,
-            downto,
-            emit_upto,
-        }) => {
-            backward_smooth(model, backend, ws, scratch, from, downto, emit_upto);
-            ws.smoothed_upto = emit_upto + 1;
-            emit_upto - downto + 1
-        }
-        None => 0,
     }
 }
 
@@ -639,65 +560,100 @@ pub(crate) fn lockstep_stage<E: Emission>(
 /// * `cur_t[j][s]  = (max_i δ_i(t-1)[s] · a[(i, j)]) · e_j(t)[s]`, with the
 ///   argmax in `psi_t`.
 ///
-/// `at` is the epoch's transition matrix pre-transposed
-/// (`at[(j, i)] = a[(i, j)]`, so the predecessors of state `j` are one
-/// contiguous row): the scratch's cached `Aᵀ`, which the scalar Viterbi step
-/// reads too.
+/// The single entry for both representations, with one AVX2 dispatch point
+/// ([`walk_panel`]): the backend picks, once per step, the dense walk over
+/// the scratch's cached `Aᵀ` or the CSR walk over `Ãᵀ` — the same layouts
+/// the scalar Viterbi gather reads. Both bodies are `#[inline(always)]`, so
+/// each compiles inside its AVX2 instantiation.
 ///
-/// Fusing matters because both recursions stream the same `k × k`
-/// transition row per output state: one broadcast of `a[(i, j)]` feeds the
-/// filter's multiply-add and the Viterbi's multiply-max, halving loop
-/// overhead and `A` traffic versus running a GEMM and a max-product kernel
-/// back to back.
+/// Per session, both bodies reproduce the row kernels of
+/// [`dhmm_hmm::kernels`] bit for bit:
 ///
-/// The kernel is register-tiled: the tile-major panel layout lets it walk
-/// [`LANES`]-wide session blocks with fixed-size accumulators the compiler
-/// keeps in vector registers over the whole predecessor loop (instead of a
-/// memory-carried running max), while the predecessor loop reads
-/// *contiguous* memory via exact-size chunks — no strided loads and no
-/// per-iteration bounds checks. The argmax is tracked as an `f64` lane
-/// (`fi` counts predecessors; every index < k is exactly representable) so
-/// the compare+blend stays in one vector domain, and is cast back at
-/// writeout.
-///
-/// Semantics per session are the scalar step's exactly:
-///
-/// * the filter sum accumulates over ascending `i` with no skip — the
-///   scalar loop skips `α̂_i = 0` predecessors, but adding their `+0.0`
-///   terms is bit-identical because every partial sum is non-negative;
-/// * the max runs over ascending `i` with a strict `>`, so ties keep the
-///   first-occurrence argmax bit-for-bit.
+/// * the filter sum accumulates over ascending `i` with no skip — the row
+///   kernel skips `α̂_i = 0` predecessors, but adding their `+0.0` terms is
+///   bit-identical because every partial sum is non-negative;
+/// * the max runs over ascending `i` with a strict `>` and the
+///   representation's seed (dense `−∞`, CSR `0.0`), so ties keep the
+///   first-occurrence argmax and the final `best · e` multiply matches.
 ///
 /// Pad lanes (`sessions..width`) compute garbage that is never gathered;
 /// blends are lane-wise, so they cannot contaminate real sessions.
 /// Sessions at `t = 0` get garbage Viterbi columns here too, overwritten by
 /// the finish pass before anything reads them (`ψ(0)` is never read — the
 /// scalar path never writes it either).
-pub(crate) fn lockstep_kernel(panel: &mut BatchPanel, at: &Matrix) {
+pub(crate) fn lockstep_kernel(
+    panel: &mut BatchPanel,
+    trans: &TransCache,
+    backend: InferenceBackend,
+) {
+    match backend {
+        InferenceBackend::Sparse(_) => walk_panel(panel, trans.csr.transposed()),
+        _ => walk_panel(panel, &trans.at),
+    }
+}
+
+/// A transposed transition layout a lockstep panel step walks.
+trait PanelWalk {
+    /// One fused filter + Viterbi panel step over this layout.
+    fn panel_step(&self, panel: &mut BatchPanel);
+}
+
+impl PanelWalk for DenseTranspose {
+    #[inline(always)]
+    fn panel_step(&self, panel: &mut BatchPanel) {
+        dense_panel_step(panel, self);
+    }
+}
+
+impl PanelWalk for CsrMatrix {
+    #[inline(always)]
+    fn panel_step(&self, panel: &mut BatchPanel) {
+        sparse_panel_step(panel, self);
+    }
+}
+
+/// The runtime AVX2 dispatch, instantiated once per layout so each AVX2
+/// twin holds only its own body.
+fn walk_panel<P: PanelWalk>(panel: &mut BatchPanel, preds: &P) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by runtime detection; the function only requires
         // the AVX2 feature it declares.
-        return unsafe { lockstep_kernel_avx2(panel, at) };
+        return unsafe { walk_panel_avx2(panel, preds) };
     }
-    lockstep_kernel_impl(panel, at);
+    preds.panel_step(panel);
 }
 
-/// AVX2 instantiation of [`lockstep_kernel_impl`]. The body is identical —
-/// enabling the feature only widens the autovectorized lanes (the
-/// compare+blend select needs `vblendvpd`, which baseline x86-64 lacks);
-/// every lane still computes the same IEEE mul/add/max/compare sequence, so
-/// results are bit-identical to the generic build. FMA contraction is never
-/// emitted (Rust does not relax float semantics), so `Σ α̂·a` keeps the
-/// scalar path's separate mul + add roundings.
+/// AVX2 instantiation of [`walk_panel`]. The body is identical — enabling
+/// the feature only widens the autovectorized lanes (the compare+blend
+/// select needs `vblendvpd`, which baseline x86-64 lacks); every lane still
+/// computes the same IEEE mul/add/max/compare sequence, so results are
+/// bit-identical to the generic build. FMA contraction is never emitted
+/// (Rust does not relax float semantics), so `Σ α̂·a` keeps the row
+/// kernels' separate mul + add roundings.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lockstep_kernel_avx2(panel: &mut BatchPanel, at: &Matrix) {
-    lockstep_kernel_impl(panel, at);
+unsafe fn walk_panel_avx2<P: PanelWalk>(panel: &mut BatchPanel, preds: &P) {
+    preds.panel_step(panel);
 }
 
+/// The dense body of [`lockstep_kernel`], register-tiled: the tile-major
+/// panel layout lets it walk [`LANES`]-wide session blocks with fixed-size
+/// accumulators the compiler keeps in vector registers over the whole
+/// predecessor loop (instead of a memory-carried running max), while the
+/// predecessor loop reads *contiguous* memory via exact-size chunks — no
+/// strided loads and no per-iteration bounds checks. The argmax is tracked
+/// as an `f64` lane (`fi` counts predecessors; every index < k is exactly
+/// representable) so the compare+blend stays in one vector domain, and is
+/// cast back at writeout.
+///
+/// Fusing matters because both recursions stream the same `k × k`
+/// transition row per output state: one broadcast of `a[(i, j)]` feeds the
+/// filter's multiply-add and the Viterbi's multiply-max, halving loop
+/// overhead and `A` traffic versus running a GEMM and a max-product kernel
+/// back to back.
 #[inline(always)]
-fn lockstep_kernel_impl(panel: &mut BatchPanel, at: &Matrix) {
+fn dense_panel_step(panel: &mut BatchPanel, at: &DenseTranspose) {
     let k = panel.k;
     let kl = k * LANES;
     let tiles = panel.width / LANES;
@@ -742,61 +698,26 @@ fn lockstep_kernel_impl(panel: &mut BatchPanel, at: &Matrix) {
     }
 }
 
-/// Sparse-backend instantiation of the fused lockstep kernel: one walk of
-/// the shared pruned matrix in its **transposed** (predecessor-major) CSR
-/// orientation `Ãᵀ` per step, broadcasting each stored `a[(i, j)]` across
-/// the [`LANES`]-wide session tiles — the filter's multiply-add and the
+/// The CSR body of [`lockstep_kernel`]: one walk of the shared pruned
+/// matrix in its **transposed** (predecessor-major) CSR orientation `Ãᵀ`
+/// per step, broadcasting each stored `a[(i, j)]` across the
+/// [`LANES`]-wide session tiles — the filter's multiply-add and the
 /// Viterbi's multiply-max fused on the same broadcast, exactly like the
-/// dense kernel, but touching only the `nnz` surviving entries instead of
-/// all `k²`.
+/// dense body, but touching only the `nnz` surviving entries instead of all
+/// `k²`.
 ///
 /// Walking `Ãᵀ` rather than the row-major `Ã` is what lets the accumulators
 /// live in registers: row `j` of `Ãᵀ` lists every stored predecessor of
 /// state `j`, so the tile's sum / max / argmax lanes for `j` accumulate in
-/// three register tiles and store **once** per state — the dense kernel's
+/// three register tiles and store **once** per state — the dense body's
 /// structure. A row-major walk would instead scatter data-dependent
 /// read-modify-writes into all three panels on every stored entry
 /// (3 × [`LANES`] lanes of L1 traffic per entry), which measures *slower*
-/// than `S` scalar CSR passes at the densities the backend targets.
-///
-/// Per-session semantics are the scalar sparse step's exactly:
-///
-/// * **filter** — the scalar path scatters `fwd.axpy_row(i, α̂_i, row)` over
-///   ascending live predecessors `i`, skipping `α̂_i = 0` rows; here every
-///   stored predecessor is walked (transposition preserves the ascending-`i`
-///   arrival order per state) and the beam-zeroed ones contribute exact
-///   `+0.0` terms, which is bit-identical because every partial sum is
-///   non-negative (the dense kernel's no-skip argument);
-/// * **Viterbi** — the scalar path's `argmax_product_row(j, δ)` walks this
-///   same `Ãᵀ` row of state `j` seeded at `(0.0, 0)` with a strict `>`; the
-///   register lanes here are seeded `best = 0.0`, `ψ = 0` — note *not* the
-///   dense kernel's `−∞` seed — so ties, all-zero columns and the final
-///   `best · e` multiply reproduce the scalar CSR gather bit-for-bit. The
-///   argmax lane carries the predecessor index as `f64` (exact for any
-///   `u32`) so the select stays a vector blend, as in the dense kernel.
-///
-/// Pad lanes compute garbage that is never gathered, as in the dense kernel.
-pub(crate) fn lockstep_kernel_sparse(panel: &mut BatchPanel, tr: &CsrMatrix) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by runtime detection; the function only requires
-        // the AVX2 feature it declares.
-        return unsafe { lockstep_kernel_sparse_avx2(panel, tr) };
-    }
-    lockstep_kernel_sparse_impl(panel, tr);
-}
-
-/// AVX2 instantiation of [`lockstep_kernel_sparse_impl`] — identical body,
-/// wider autovectorized lanes, bit-identical results (no FMA contraction;
-/// see [`lockstep_kernel_avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lockstep_kernel_sparse_avx2(panel: &mut BatchPanel, tr: &CsrMatrix) {
-    lockstep_kernel_sparse_impl(panel, tr);
-}
-
+/// than `S` scalar CSR passes at the densities the backend targets. The
+/// argmax lane carries the predecessor index as `f64` (exact for any
+/// `u32`) so the select stays a vector blend, as in the dense body.
 #[inline(always)]
-fn lockstep_kernel_sparse_impl(panel: &mut BatchPanel, tr: &CsrMatrix) {
+fn sparse_panel_step(panel: &mut BatchPanel, tr: &CsrMatrix) {
     let k = panel.k;
     let kl = k * LANES;
     let tiles = panel.width / LANES;
@@ -823,7 +744,7 @@ fn lockstep_kernel_sparse_impl(panel: &mut BatchPanel, tr: &CsrMatrix) {
                     besti[l] = if better { fi } else { besti[l] };
                 }
             }
-            // One store per state: `cur = best · e`, the dense kernel's
+            // One store per state: `cur = best · e`, the dense body's
             // writeout multiply.
             let o = tb + j * LANES;
             let sum = &mut panel.sum_t[o..o + LANES];
@@ -839,11 +760,11 @@ fn lockstep_kernel_sparse_impl(panel: &mut BatchPanel, tr: &CsrMatrix) {
     }
 }
 
-/// Lockstep step 3 of 3 — finishes session `s`'s token from the panel: the
-/// emission multiply + scale on the gathered filter column (the scalar
-/// filter's op order exactly, including the sparse beam + bound
-/// accounting), the Viterbi normalization on the gathered `δ(t)` column,
-/// then the commit rules — the same per-token work as [`push_token`], so no
+/// Lockstep step 3 of 3 — finishes session `s`'s token from the panel:
+/// gathers its transition-sum column times the emission row (the last op of
+/// the forward step) into the α̂ ring and its `δ(t)`/`ψ(t)` columns into the
+/// rolling rows, then runs the scalar step's filter and Viterbi finishes and
+/// the commit rules — the same per-token work as [`push_token`], so no
 /// smoothing either. Advances `ws.t`.
 pub(crate) fn lockstep_finish<E: Emission>(
     model: &Hmm<E>,
@@ -851,85 +772,41 @@ pub(crate) fn lockstep_finish<E: Emission>(
     backend: InferenceBackend,
     ws: &mut StreamWorkspace,
     scratch: &mut StreamScratch,
-    panel: &mut BatchPanel,
+    panel: &BatchPanel,
     s: usize,
 ) {
     let k = ws.num_states;
     let t = ws.t;
     let slot = ws.slot(t);
+    let cell = slot * k..(slot + 1) * k;
     let tb = (s / LANES) * k * LANES + (s % LANES);
-    let shift = panel.shift[s];
-    let first = panel.first[s];
+    let (shift, first) = (panel.shift[s], panel.first[s]);
+    let beam = beam_of(backend);
     scratch.ensure(k, ws.window);
-    let sparse: Option<SparseParams> = match backend {
-        InferenceBackend::Sparse(params) => Some(params),
-        _ => None,
-    };
 
-    // --- Filter finish: gather this session's transition-sum column into
-    // the α̂ ring, then the emission multiply + (sparse beam +) scale in
-    // the offline op order. The fused kernel's sums already equal the
-    // scalar accumulation (ascending predecessor index) bit-for-bit.
-    {
-        let row = &mut ws.alpha[slot * k..(slot + 1) * k];
-        let e_row = &ws.emis[slot * k..(slot + 1) * k];
-        if first {
-            for (j, (r, &e)) in row.iter_mut().zip(e_row).enumerate() {
-                *r = model.initial()[j] * e;
-            }
-        } else {
-            for (j, (r, &e)) in row.iter_mut().zip(e_row).enumerate() {
-                *r = panel.sum_t[tb + j * LANES] * e;
-            }
-        }
-        if let Some(params) = sparse {
-            let eps = beam_prune(row, params.beam);
-            if eps > 0.0 {
-                ws.sparse_pruned_total += eps;
-                ws.sparse_bound -= (-eps).ln_1p();
-            }
-        }
-        let (_c, log_c) = scale_row(row, shift);
-        ws.log_likelihood += log_c;
-    }
-
-    // --- Viterbi finish: gather this session's column, then the scalar
-    // normalization (and sparse score beam) verbatim.
-    {
-        let parity = (t % 2) * k;
-        let cur = &mut ws.delta[parity..parity + k];
-        if first {
-            let e_row = &ws.emis[slot * k..(slot + 1) * k];
-            for (j, p) in cur.iter_mut().enumerate() {
-                *p = model.initial()[j] * e_row[j];
-            }
-        } else {
-            let psi_row = &mut ws.psi[slot * k..(slot + 1) * k];
-            for j in 0..k {
-                cur[j] = panel.cur_t[tb + j * LANES];
-                psi_row[j] = panel.psi_t[tb + j * LANES];
-            }
-        }
-        let m = cur.iter().cloned().fold(0.0_f64, f64::max);
-        if m.is_finite() && m > 0.0 {
-            for p in cur.iter_mut() {
-                *p /= m;
-            }
-            ws.viterbi_log += m.ln() + shift;
-            if let Some(params) = sparse {
-                // Beam the normalized score row (offline sparse order); the
-                // ε is deliberately not folded into the filter bound — see
-                // the scalar step.
-                beam_prune(cur, params.beam);
-            }
-        } else {
-            let u = 1.0 / k as f64;
-            for p in cur.iter_mut() {
-                *p = u;
-            }
-            ws.viterbi_log += f64::MIN_POSITIVE.ln() + shift;
+    let e = &ws.emis[cell.clone()];
+    let row = &mut ws.alpha[cell.clone()];
+    if first {
+        initial_step(model.initial(), e, row);
+    } else {
+        for (j, (r, &ej)) in row.iter_mut().zip(e).enumerate() {
+            *r = panel.sum_t[tb + j * LANES] * ej;
         }
     }
+    finish_filter(ws, slot, shift, beam);
+
+    let parity = (t % 2) * k;
+    let cur = &mut ws.delta[parity..parity + k];
+    if first {
+        initial_step(model.initial(), &ws.emis[cell], cur);
+    } else {
+        let psi = &mut ws.psi[cell];
+        for (j, (c, p)) in cur.iter_mut().zip(psi.iter_mut()).enumerate() {
+            *c = panel.cur_t[tb + j * LANES];
+            *p = panel.psi_t[tb + j * LANES];
+        }
+    }
+    finish_viterbi(ws, t, shift, beam);
 
     commit_rules(ws, scratch, t, lag);
     ws.t = t + 1;
@@ -1009,16 +886,7 @@ fn force_commit(
     let k = ws.num_states;
     // Current best state, first occurrence on ties — the same rule the
     // offline backtrack applies to the final row.
-    let (jbest, _) = {
-        let cur = &ws.delta[(t % 2) * k..(t % 2) * k + k];
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for (j, &v) in cur.iter().enumerate() {
-            if v > best.1 {
-                best = (j, v);
-            }
-        }
-        best
-    };
+    let (jbest, _) = best_state(&ws.delta[(t % 2) * k..(t % 2) * k + k]);
 
     // Chain state of the best path at `commit_upto`.
     let mut x = jbest;
@@ -1076,94 +944,6 @@ fn commit_chain(ws: &StreamWorkspace, scratch: &mut StreamScratch, m: usize, x: 
     scratch.committed.extend_from_slice(chain);
 }
 
-/// Runs the backward smoothing pass from `from` (β = 1) down to `downto`,
-/// emitting normalized `γ` rows for times `downto ..= emit_upto` into
-/// `scratch.smoothed` (ascending). Exactly the offline backward recursion,
-/// restricted to the ring window. Under the sparse backend the per-row dot
-/// runs over the CSR-stored entries of `Ã` (the decoder's own scratch
-/// cache, prepared by its pushes), keeping the smoothed posteriors
-/// consistent with the pruned filter.
-fn backward_smooth<E: Emission>(
-    model: &Hmm<E>,
-    backend: InferenceBackend,
-    ws: &StreamWorkspace,
-    scratch: &mut StreamScratch,
-    from: usize,
-    downto: usize,
-    emit_upto: usize,
-) {
-    let k = ws.num_states;
-    let a = model.transition();
-    scratch.smoothed_start = downto;
-    scratch.smoothed_len = emit_upto - downto + 1;
-
-    // β at `from` is all ones.
-    {
-        let (beta_cur, _) = scratch.beta.split_at_mut(k);
-        beta_cur.fill(1.0);
-    }
-    if from <= emit_upto {
-        // γ(from) = normalize(α̂ · 1) — multiplying by the exact 1.0 β row
-        // is an identity, so copy + normalize matches the offline product.
-        let alpha_row = ws.alpha_row(from);
-        let out = &mut scratch.smoothed[(from - downto) * k..(from - downto + 1) * k];
-        out.copy_from_slice(alpha_row);
-        dhmm_linalg::normalize_in_place(out);
-    }
-
-    let mut tau = from;
-    while tau > downto {
-        tau -= 1;
-        // w[j] = b_j(y_{τ+1}) · β(τ+1, j), exactly as offline.
-        let next_slot = ws.slot(tau + 1);
-        let next_e = &ws.emis[next_slot * k..(next_slot + 1) * k];
-        // Rolling β parity: row for time τ sits at (from - τ) % 2.
-        let parity = (from - tau) % 2;
-        let prev_parity = 1 - parity;
-        {
-            let w = &mut scratch.row[..k];
-            let beta_prev = &scratch.beta[prev_parity * k..prev_parity * k + k];
-            for ((wv, &e), &b) in w.iter_mut().zip(next_e).zip(beta_prev) {
-                *wv = e * b;
-            }
-        }
-        {
-            let trans = &scratch.trans;
-            let (w, beta_all) = (&scratch.row[..k], &mut scratch.beta);
-            let beta_cur = &mut beta_all[parity * k..parity * k + k];
-            if matches!(backend, InferenceBackend::Sparse(_)) {
-                let fwd = trans.csr.forward();
-                for (i, r) in beta_cur.iter_mut().enumerate() {
-                    *r = fwd.dot_row(i, w);
-                }
-            } else {
-                for (i, r) in beta_cur.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for (&aij, &wv) in a.row(i).iter().zip(w.iter()) {
-                        acc += aij * wv;
-                    }
-                    *r = acc;
-                }
-            }
-            let norm: f64 = beta_cur.iter().sum();
-            if norm > 0.0 {
-                for v in beta_cur.iter_mut() {
-                    *v /= norm;
-                }
-            }
-        }
-        if tau <= emit_upto {
-            let alpha_row = ws.alpha_row(tau);
-            let out = &mut scratch.smoothed[(tau - downto) * k..(tau - downto + 1) * k];
-            let beta_cur = &scratch.beta[parity * k..parity * k + k];
-            for ((g, &av), &bv) in out.iter_mut().zip(alpha_row).zip(beta_cur) {
-                *g = av * bv;
-            }
-            dhmm_linalg::normalize_in_place(out);
-        }
-    }
-}
-
 /// Flushes the stream: commits the Viterbi tail by backtracking from the
 /// best final state. Returns the joint log-score of the committed path.
 /// Emits no smoothed rows: [`StreamingDecoder::flush`] runs the smoothing
@@ -1183,45 +963,12 @@ pub(crate) fn flush_stream(ws: &mut StreamWorkspace, scratch: &mut StreamScratch
     let last = ws.t - 1;
 
     // Final backtrack, first-occurrence argmax like the offline engine.
-    let (jbest, best_val) = {
-        let cur = &ws.delta[(last % 2) * k..(last % 2) * k + k];
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for (j, &v) in cur.iter().enumerate() {
-            if v > best.1 {
-                best = (j, v);
-            }
-        }
-        best
-    };
+    let (jbest, best_val) = best_state(&ws.delta[(last % 2) * k..(last % 2) * k + k]);
     if ws.base <= last {
         commit_chain(ws, scratch, last, jbest);
         ws.base = last + 1;
     }
     ws.viterbi_log + best_val.ln()
-}
-
-/// Emits the smoothed rows a flush still owes (everything the block passes
-/// have not emitted, each conditioned on the full prefix) into
-/// `scratch.smoothed`, after [`flush_stream`].
-fn flush_smoothing<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    backend: InferenceBackend,
-    ws: &mut StreamWorkspace,
-    scratch: &mut StreamScratch,
-) {
-    let Some(last) = ws.t.checked_sub(1) else {
-        return;
-    };
-    if let Some(SmoothAction::Block {
-        from,
-        downto,
-        emit_upto,
-    }) = flush_smoothing_action(lag, last, ws.smoothed_upto)
-    {
-        backward_smooth(model, backend, ws, scratch, from, downto, emit_upto);
-        ws.smoothed_upto = ws.t;
-    }
 }
 
 /// Metric handles of one [`StreamingDecoder`]. Registered once at
@@ -1270,10 +1017,131 @@ impl DecoderMetrics {
     }
 }
 
+/// The fixed-lag smoothing buffers only a [`StreamingDecoder`] owns (a
+/// [`crate::SessionPool`] never smooths, so its leased scratches carry
+/// none). Sized at construction.
+#[derive(Debug, Clone)]
+struct Smoothing {
+    /// Smoothed rows emitted by the last push/flush, row-major (`len × k`),
+    /// ascending in time; room for a whole window.
+    rows: Vec<f64>,
+    /// Number of valid rows in `rows`.
+    len: usize,
+    /// Time index of the first row.
+    start: usize,
+    /// `2 × k` rolling backward rows.
+    beta: Vec<f64>,
+}
+
+impl Smoothing {
+    fn new(k: usize, window: usize) -> Self {
+        Self {
+            rows: vec![0.0; window * k],
+            len: 0,
+            start: 0,
+            beta: vec![0.0; 2 * k],
+        }
+    }
+
+    /// Carries out one smoothing decision ([`smoothing_action`] for the
+    /// token at time `t`, or [`flush_smoothing_action`]), replacing the
+    /// emitted rows and advancing `ws.smoothed_upto`. Returns the number of
+    /// rows emitted. Smoothing reads nothing but the α̂ and emission rings,
+    /// which the commit rules never touch, so running it after them is
+    /// bit-safe.
+    fn run<E: Emission>(
+        &mut self,
+        model: &Hmm<E>,
+        backend: InferenceBackend,
+        ws: &mut StreamWorkspace,
+        scratch: &mut StreamScratch,
+        t: usize,
+        action: Option<SmoothAction>,
+    ) -> usize {
+        let k = ws.num_states;
+        self.len = 0;
+        self.start = 0;
+        match action {
+            Some(SmoothAction::CopyFiltered) => {
+                self.rows[..k].copy_from_slice(ws.alpha_row(t));
+                self.len = 1;
+                self.start = t;
+            }
+            Some(SmoothAction::Block {
+                from,
+                downto,
+                emit_upto,
+            }) => {
+                let w = &mut scratch.row[..k];
+                match backend {
+                    InferenceBackend::Sparse(_) => {
+                        self.backward(&scratch.trans.csr, ws, w, from, downto, emit_upto)
+                    }
+                    _ => self.backward(model.transition(), ws, w, from, downto, emit_upto),
+                }
+            }
+            None => return 0,
+        }
+        ws.smoothed_upto = self.start + self.len;
+        self.len
+    }
+
+    /// Runs the backward smoothing pass from `from` (β = 1) down to `downto`
+    /// with the row kernels' backward step, emitting normalized `γ` rows for
+    /// times `downto ..= emit_upto` (ascending): exactly the offline
+    /// backward recursion restricted to the ring window, over the same
+    /// transition representation as the filter (so under the sparse backend
+    /// the posteriors stay consistent with the pruned filter).
+    fn backward<R: RowKernels>(
+        &mut self,
+        rows: &R,
+        ws: &StreamWorkspace,
+        w: &mut [f64],
+        from: usize,
+        downto: usize,
+        emit_upto: usize,
+    ) {
+        let k = ws.num_states;
+        self.start = downto;
+        self.len = emit_upto - downto + 1;
+
+        // β at `from` is all ones, in the even row.
+        self.beta[..k].fill(1.0);
+        if from <= emit_upto {
+            // γ(from) = normalize(α̂ · 1) — multiplying by the exact 1.0 β row
+            // is an identity, so copy + normalize matches the offline product.
+            let out = &mut self.rows[(from - downto) * k..(from - downto + 1) * k];
+            out.copy_from_slice(ws.alpha_row(from));
+            normalize_in_place(out);
+        }
+        for tau in (downto..from).rev() {
+            let next_slot = ws.slot(tau + 1);
+            let next_e = &ws.emis[next_slot * k..(next_slot + 1) * k];
+            // Rolling β parity: the row for time τ is the odd one when
+            // `from − τ` is odd.
+            let (even, odd) = self.beta.split_at_mut(k);
+            let odd = &mut odd[..k];
+            let (next, beta) = if (from - tau) % 2 == 1 {
+                (&*even, odd)
+            } else {
+                (&*odd, even)
+            };
+            backward_step(rows, next_e, next, w, beta);
+            if tau <= emit_upto {
+                let out = &mut self.rows[(tau - downto) * k..(tau - downto + 1) * k];
+                for ((g, &av), &bv) in out.iter_mut().zip(ws.alpha_row(tau)).zip(beta.iter()) {
+                    *g = av * bv;
+                }
+                normalize_in_place(out);
+            }
+        }
+    }
+}
+
 /// A single-session streaming decoder over a borrowed model.
 ///
-/// Owns its [`StreamWorkspace`] and [`StreamScratch`]; every buffer is sized
-/// at construction, so [`StreamingDecoder::push`] performs **zero heap
+/// Owns its [`StreamWorkspace`], [`StreamScratch`] and smoothing buffers;
+/// every buffer is sized at construction, so [`StreamingDecoder::push`] performs **zero heap
 /// allocation** (pinned by the counting-allocator test — with telemetry
 /// enabled as well as disabled). For many concurrent
 /// sessions, use [`crate::SessionPool`], which shares scratch across
@@ -1285,6 +1153,7 @@ pub struct StreamingDecoder<'m, E: Emission> {
     backend: InferenceBackend,
     ws: StreamWorkspace,
     scratch: StreamScratch,
+    smoothing: Smoothing,
     metrics: DecoderMetrics,
 }
 
@@ -1303,6 +1172,7 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
             backend: InferenceBackend::Scaled,
             ws,
             scratch,
+            smoothing: Smoothing::new(model.num_states(), window),
             metrics: DecoderMetrics::noop(),
         }
     }
@@ -1393,13 +1263,14 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
             &mut self.scratch,
             obs,
         );
-        let smoothed_rows = apply_smoothing(
+        let action = smoothing_action(self.lag, t, self.ws.smoothed_upto);
+        let smoothed_rows = self.smoothing.run(
             self.model,
-            self.lag,
             self.backend,
             &mut self.ws,
             &mut self.scratch,
             t,
+            action,
         );
         drop(span);
         self.metrics.pushes.inc();
@@ -1415,23 +1286,28 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
             filtered: self.ws.alpha_row(t),
             committed: &self.scratch.committed,
             committed_start: self.scratch.committed_start,
-            smoothed: &self.scratch.smoothed[..self.scratch.smoothed_len * k],
-            smoothed_start: self.scratch.smoothed_start,
+            smoothed: &self.smoothing.rows[..self.smoothing.len * k],
+            smoothed_start: self.smoothing.start,
         }
     }
 
     /// Ends the stream: commits the remaining Viterbi tail (backtracking
     /// from the best final state, exactly like the offline engine) and
-    /// emits the remaining smoothed rows. After `flush`, call
+    /// emits the remaining smoothed rows — everything the block passes have
+    /// not emitted, each conditioned on the full prefix. After `flush`, call
     /// [`StreamingDecoder::reset`] before pushing again.
     pub fn flush(&mut self) -> FlushOutput<'_> {
         let score = flush_stream(&mut self.ws, &mut self.scratch);
-        flush_smoothing(
+        let last = self.ws.t.checked_sub(1);
+        let action =
+            last.and_then(|last| flush_smoothing_action(self.lag, last, self.ws.smoothed_upto));
+        self.smoothing.run(
             self.model,
-            self.lag,
             self.backend,
             &mut self.ws,
             &mut self.scratch,
+            last.unwrap_or(0),
+            action,
         );
         let k = self.ws.num_states.max(1);
         FlushOutput {
@@ -1440,8 +1316,8 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
             viterbi_log_score: score,
             committed: &self.scratch.committed,
             committed_start: self.scratch.committed_start,
-            smoothed: &self.scratch.smoothed[..self.scratch.smoothed_len * k],
-            smoothed_start: self.scratch.smoothed_start,
+            smoothed: &self.smoothing.rows[..self.smoothing.len * k],
+            smoothed_start: self.smoothing.start,
         }
     }
 

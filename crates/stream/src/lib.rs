@@ -1,9 +1,9 @@
 //! # dhmm-stream
 //!
 //! Streaming inference for the dHMM reproduction: labeling data *as it
-//! arrives*, with hard per-session memory bounds, on top of the scaled
-//! inference kernels (`dhmm_hmm::scaled`) and the deterministic worker-pool
-//! runtime (`dhmm_runtime`).
+//! arrives*, with hard per-session memory bounds, on top of the per-step row
+//! kernels the offline engines run (`dhmm_hmm::kernels`) and the
+//! deterministic worker-pool runtime (`dhmm_runtime`).
 //!
 //! Every inference path elsewhere in the workspace is offline — it needs the
 //! whole sequence up front. This crate provides the online counterpart:
@@ -14,8 +14,9 @@
 //!   smoothing with configurable lag `L` (amortized-O(k²) backward passes
 //!   over 2L-token windows), and a bounded-memory online Viterbi (ring ψ
 //!   buffer, path-convergence commits, forced commit at lag `L`). All
-//!   buffers live in a grow-only [`StreamWorkspace`]/[`StreamScratch`] pair
-//!   sized at construction, so `push` performs **zero heap allocation**.
+//!   buffers (a grow-only [`StreamWorkspace`]/[`StreamScratch`] pair plus
+//!   the decoder's own smoothing rows) are sized at construction, so `push`
+//!   performs **zero heap allocation**.
 //! * [`SessionPool`] — many concurrent sessions multiplexed over one model:
 //!   create/push/flush/close by [`SessionId`], with batch [`SessionPool::tick`]s
 //!   that advance pending tokens in deterministic per-session bands on the
@@ -33,9 +34,10 @@
 //!   latency there. Posteriors come from [`StreamingDecoder`].
 //!
 //! With `lag ≥ T` the streamed output is exactly the offline decode: the
-//! Viterbi path equals `viterbi_scaled`'s and the filtered/smoothed
-//! posteriors match `forward_backward_scaled` prefix marginals (pinned to
-//! 1e-9 — in practice bit-identical — by `tests/parity.rs`). Smaller lags
+//! Viterbi path, its score, the running log-likelihood and the smoothed
+//! posteriors equal the offline engine's bit for bit, under the scaled and
+//! the sparse backend, and the filtered rows match the offline prefix
+//! marginals to 1e-9 (pinned by `tests/parity.rs`). Smaller lags
 //! trade a bounded, explicit amount of lookahead for O(lag · k) memory and
 //! constant per-token latency.
 

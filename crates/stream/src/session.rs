@@ -51,8 +51,7 @@
 //! the buffers are grow-only).
 
 use crate::decoder::{
-    flush_stream, lockstep_finish, lockstep_kernel, lockstep_kernel_sparse, lockstep_stage,
-    push_token, ring_window,
+    flush_stream, lockstep_finish, lockstep_kernel, lockstep_stage, push_token, ring_window,
 };
 use crate::error::StreamError;
 use crate::workspace::{BatchPanel, StreamScratch, StreamWorkspace};
@@ -212,17 +211,10 @@ fn lockstep_group<E: Emission>(
     report: &mut TickReport,
 ) {
     let k = model.num_states();
-    let sparse = matches!(backend, InferenceBackend::Sparse(_));
     // One transition layout per epoch, shared with the scalar step (no-op
     // once warm): the dense kernel reads the cached `Aᵀ`, the sparse kernel
     // the CSR transposed (predecessor-major) orientation.
-    if let InferenceBackend::Sparse(params) = backend {
-        scratch
-            .trans
-            .prepare_sparse(model.transition(), epoch, params);
-    } else {
-        scratch.trans.prepare_dense(model.transition(), epoch);
-    }
+    scratch.trans.prepare(model.transition(), epoch, backend);
     for slot in group.iter_mut() {
         slot.last_active = clock;
     }
@@ -240,11 +232,7 @@ fn lockstep_group<E: Emission>(
         for (s, slot) in prefix.iter_mut().enumerate() {
             lockstep_stage(&slot.model, lag, &mut slot.ws, panel, s, &slot.pending[d]);
         }
-        if sparse {
-            lockstep_kernel_sparse(panel, scratch.trans.csr.transposed());
-        } else {
-            lockstep_kernel(panel, &scratch.trans.at);
-        }
+        lockstep_kernel(panel, &scratch.trans, backend);
         for (s, slot) in prefix.iter_mut().enumerate() {
             scratch.clear_outputs();
             lockstep_finish(&*slot.model, lag, backend, &mut slot.ws, scratch, panel, s);
@@ -737,13 +725,13 @@ impl<E: Emission> SessionPool<E> {
     /// smoothing, since the pool returns no posteriors.
     ///
     /// All paths are **bit-identical**: the fused kernels accumulate each
-    /// filter entry in the scalar step's exact operation order (ascending
-    /// predecessor index; the scalar loop's zero-predecessor skip only
-    /// drops exact `+0.0` terms), keep the scalar first-occurrence argmax,
-    /// and the commit tail reuses the same helpers. So are all worker
-    /// policies — `Serial`, `Threads(n)` and `Auto` produce the same labels
-    /// and log-likelihoods to the last bit (pinned by
-    /// `tests/session_determinism.rs`).
+    /// filter entry in the operation order of the row kernels in
+    /// `dhmm_hmm::kernels` (ascending predecessor index; the row kernel's
+    /// zero-predecessor skip only drops exact `+0.0` terms), keep their
+    /// first-occurrence argmax, and the finish and commit tail reuse the
+    /// scalar step's helpers. So are all worker policies — `Serial`,
+    /// `Threads(n)` and `Auto` produce the same labels and log-likelihoods
+    /// to the last bit (pinned by `tests/session_determinism.rs`).
     pub fn tick(&mut self) -> TickReport
     where
         E: Send + Sync,

@@ -10,18 +10,20 @@
 //!   per session; survives across pushes, ticks and (in a session pool)
 //!   close/reopen cycles, in the grow-only style of the offline
 //!   `InferenceWorkspace`.
-//! * [`StreamScratch`] — the *transient* per-push scratch: level-set walks,
-//!   backward-smoothing rows and the per-push output staging (newly
-//!   committed labels, newly smoothed posteriors). One per worker; in a
-//!   session pool it is leased from a runtime `LeasePool`, so `S` sessions
-//!   on `w` workers cost `S` workspaces but only `w` scratches.
+//! * [`StreamScratch`] — the *transient* per-push scratch: the cached
+//!   transition layouts, level-set walks and the newly committed labels of
+//!   the last push. One per worker; in a session pool it is leased from a
+//!   runtime `LeasePool`, so `S` sessions on `w` workers cost `S`
+//!   workspaces but only `w` scratches. (Fixed-lag smoothing buffers belong
+//!   to the standalone decoder alone: a pool never smooths.)
 //!
 //! Both grow monotonically: after the first push at a given `(k, lag)` shape
 //! (or after [`StreamWorkspace::ensure`] at construction), no call path in
 //! this crate allocates — pinned by the counting-allocator test in
 //! `tests/zero_alloc.rs`.
 
-use dhmm_hmm::{CsrTransition, SparseParams};
+use dhmm_hmm::kernels::{BeamStats, DenseTranspose};
+use dhmm_hmm::{CsrTransition, InferenceBackend, SparseParams};
 use dhmm_linalg::Matrix;
 
 /// Persistent per-session streaming state (rings + running scalars).
@@ -56,12 +58,10 @@ pub struct StreamWorkspace {
     pub(crate) viterbi_log: f64,
     /// Set by `flush`; pushes must not follow until `reset`.
     pub(crate) finished: bool,
-    /// `Σ_t ε_t` — total relative filter mass removed by the sparse beam so
-    /// far (stays 0 under the scaled backend).
-    pub(crate) sparse_pruned_total: f64,
-    /// `Σ_t −ln(1−ε_t)` over the filter steps so far: the running bound on
-    /// the log-likelihood deficit introduced by beam pruning.
-    pub(crate) sparse_bound: f64,
+    /// Beam statistics of the filter steps so far: `total` is `Σ_t ε_t`,
+    /// `bound` the running `Σ_t −ln(1−ε_t)` bound on the log-likelihood
+    /// deficit (both stay 0 under the scaled backend).
+    pub(crate) beam: BeamStats,
     /// `W × k` ring of scaled filtered rows `α̂(t, ·)`; slot `t % W`.
     pub(crate) alpha: Vec<f64>,
     /// `W × k` ring of (shift-rescued) linear-domain emission rows.
@@ -108,8 +108,7 @@ impl StreamWorkspace {
         self.log_likelihood = 0.0;
         self.viterbi_log = 0.0;
         self.finished = false;
-        self.sparse_pruned_total = 0.0;
-        self.sparse_bound = 0.0;
+        self.beam = BeamStats::default();
     }
 
     /// Active `(num_states, window)` shape.
@@ -140,7 +139,7 @@ impl StreamWorkspace {
     /// Total relative filter mass removed by the sparse beam so far
     /// (0 under the scaled backend, or with `beam = 0`).
     pub fn sparse_pruned_total(&self) -> f64 {
-        self.sparse_pruned_total
+        self.beam.total
     }
 
     /// Running bound on the log-likelihood deficit introduced by sparse
@@ -148,7 +147,7 @@ impl StreamWorkspace {
     /// a certified lower bound on the exact value under the pruned matrix
     /// `Ã`, and the gap is estimated by `Σ_t −ln(1−ε_t)`, this value.
     pub fn sparse_error_bound(&self) -> f64 {
-        self.sparse_bound
+        self.beam.bound
     }
 
     /// The ring slot of time index `t`.
@@ -163,16 +162,6 @@ impl StreamWorkspace {
         let k = self.num_states;
         let s = self.slot(t);
         &self.alpha[s * k..(s + 1) * k]
-    }
-}
-
-/// Resizes a matrix in place, reusing its backing buffer (grow-only
-/// capacity). Contents after a reshape are unspecified.
-fn reshape(m: &mut Matrix, rows: usize, cols: usize) {
-    if m.shape() != (rows, cols) {
-        let mut data = std::mem::replace(m, Matrix::zeros(0, 0)).into_vec();
-        data.resize(rows * cols, 0.0);
-        *m = Matrix::from_vec(rows, cols, data).expect("buffer resized to shape");
     }
 }
 
@@ -266,20 +255,20 @@ impl BatchPanel {
     }
 }
 
-/// Per-scratch cache of the transition matrix in the layouts the scalar
-/// streaming step consumes: the dense transpose `Aᵀ` (predecessors of each
-/// state as one contiguous row, which is what the scalar Viterbi inner loop
-/// walks) and, under the sparse backend, the CSR-compiled pruned matrix.
+/// Per-scratch cache of the transition matrix in the layouts the streaming
+/// steps consume: the dense transpose `Aᵀ` (the dense Viterbi gather and
+/// lockstep walk) and, under the sparse backend, the CSR-compiled pruned
+/// matrix.
 ///
 /// Entries are keyed by the *publishing epoch* (plus shape / compile
 /// parameters): a [`crate::SessionPool`] hot-swap bumps the epoch, so stale
 /// layouts are rebuilt on the next push without any bitwise comparison of
 /// the matrix itself. A standalone [`crate::StreamingDecoder`] always uses
 /// epoch 0 — its borrowed model cannot change underneath it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TransCache {
     /// Dense `Aᵀ`; valid while `at_key` matches.
-    pub(crate) at: Matrix,
+    pub(crate) at: DenseTranspose,
     /// `(epoch, k)` the dense transpose was built for.
     at_key: Option<(u64, usize)>,
     /// CSR-compiled pruned transitions; valid while `csr_key` matches.
@@ -288,41 +277,28 @@ pub(crate) struct TransCache {
     csr_key: Option<(u64, usize, SparseParams)>,
 }
 
-impl Default for TransCache {
-    fn default() -> Self {
-        Self {
-            at: Matrix::zeros(0, 0),
-            at_key: None,
-            csr: CsrTransition::default(),
-            csr_key: None,
-        }
-    }
-}
-
 impl TransCache {
-    /// Ensures `at` holds `aᵀ` for this epoch (rebuilds on mismatch;
-    /// in-place, grow-only capacity).
-    pub(crate) fn prepare_dense(&mut self, a: &Matrix, epoch: u64) {
-        let key = Some((epoch, a.rows()));
-        if self.at_key != key {
-            reshape(&mut self.at, a.cols(), a.rows());
-            a.transpose_into(&mut self.at)
-                .expect("at reshaped to the transpose shape");
-            self.at_key = key;
-        }
-    }
-
-    /// Ensures `csr` holds `a` compiled under `params` for this epoch.
+    /// Ensures the layout `backend` runs on holds `a` for this epoch: `at`
+    /// holds `aᵀ` (dense), or `csr` holds `a` compiled under the backend's
+    /// parameters (sparse). Rebuilds in place on a key mismatch, grow-only.
     /// Parameters were validated at stream construction, and the model's
     /// transition matrix is square by construction, so compilation cannot
     /// fail here.
-    pub(crate) fn prepare_sparse(&mut self, a: &Matrix, epoch: u64, params: SparseParams) {
-        let key = Some((epoch, a.rows(), params));
-        if self.csr_key != key {
-            self.csr
-                .compile_into(a, params)
-                .expect("sparse params validated at stream construction");
-            self.csr_key = key;
+    pub(crate) fn prepare(&mut self, a: &Matrix, epoch: u64, backend: InferenceBackend) {
+        if let InferenceBackend::Sparse(params) = backend {
+            let key = Some((epoch, a.rows(), params));
+            if self.csr_key != key {
+                self.csr
+                    .compile_into(a, params)
+                    .expect("sparse params validated at stream construction");
+                self.csr_key = key;
+            }
+        } else {
+            let key = Some((epoch, a.rows()));
+            if self.at_key != key {
+                self.at.rebuild(a);
+                self.at_key = key;
+            }
         }
     }
 }
@@ -339,19 +315,10 @@ pub struct StreamScratch {
     /// Length-`k` work row (new α row before it enters the ring; backward
     /// weights during smoothing).
     pub(crate) row: Vec<f64>,
-    /// `2 × k` rolling backward rows for fixed-lag smoothing.
-    pub(crate) beta: Vec<f64>,
     /// Labels committed by the last push/flush, ascending in time.
     pub(crate) committed: Vec<usize>,
     /// Time index of `committed[0]` (meaningful when non-empty).
     pub(crate) committed_start: usize,
-    /// Smoothed posterior rows emitted by the last push/flush, row-major
-    /// (`smoothed_len × k`), ascending in time.
-    pub(crate) smoothed: Vec<f64>,
-    /// Number of valid rows in `smoothed`.
-    pub(crate) smoothed_len: usize,
-    /// Time index of the first smoothed row.
-    pub(crate) smoothed_start: usize,
     /// Survivor-chain reconstruction buffer (window + 1 entries).
     pub(crate) chain: Vec<usize>,
     /// Per-state chain roots during force-commit pruning.
@@ -372,14 +339,9 @@ impl StreamScratch {
     pub(crate) fn ensure(&mut self, k: usize, window: usize) {
         if self.row.len() < k {
             self.row.resize(k, 0.0);
-            self.beta.resize(2 * k, 0.0);
             self.roots.resize(k, 0);
             self.set_cur.resize(k, false);
             self.set_next.resize(k, false);
-        }
-        let wk = window.checked_mul(k).expect("stream scratch overflow");
-        if self.smoothed.len() < wk {
-            self.smoothed.resize(wk, 0.0);
         }
         // A single push can commit at most the whole uncommitted window plus
         // the pushed token itself.
@@ -395,8 +357,6 @@ impl StreamScratch {
     pub(crate) fn clear_outputs(&mut self) {
         self.committed.clear();
         self.committed_start = 0;
-        self.smoothed_len = 0;
-        self.smoothed_start = 0;
     }
 }
 
@@ -440,8 +400,6 @@ mod tests {
         let mut s = StreamScratch::new();
         s.ensure(5, 8);
         assert_eq!(s.row.len(), 5);
-        assert_eq!(s.beta.len(), 10);
-        assert!(s.smoothed.len() >= 40);
         assert!(s.chain.len() >= 9);
         assert!(s.committed.capacity() >= 9);
     }
